@@ -116,6 +116,7 @@ from .scenarios import (
     get_scenario,
     scenario_names,
 )
+from .scenarios.engine import generate_datasets
 from .service import ServiceEngine, ServiceResult, ServiceSpec, get_service
 from .teleop import OperatorModel, RemoteController, experienced_operator, inexperienced_operator
 from .wireless import ConsecutiveLossInjector, GilbertElliottJammer, InterferenceSource, WirelessChannel
@@ -312,14 +313,8 @@ def quick_demo(seed: int = 0, n_repetitions: int = 4, n_robots: int = 5) -> Simu
     README quickstart and smoke tests; the full-size experiments live in
     :mod:`repro.experiments`.
     """
-    controller = RemoteController()
-    experienced = controller.stream_from_operator(
-        OperatorModel(profile=experienced_operator(), seed=seed), n_repetitions=n_repetitions
-    )
-    inexperienced = controller.stream_from_operator(
-        OperatorModel(profile=inexperienced_operator(), seed=seed + 1),
-        n_repetitions=max(1, n_repetitions // 2),
-    )
+    datasets = generate_datasets(seed, n_repetitions, max(1, n_repetitions // 2))
+    experienced, inexperienced = datasets.experienced, datasets.inexperienced
     channel = WirelessChannel(
         n_robots=n_robots,
         interference=InterferenceSource(probability=0.05, duration_slots=100),

@@ -10,9 +10,9 @@ test; it silently serves stale physics out of warm stores.
 This module turns the convention into a mechanical check.  A committed
 manifest maps the current epoch to a **semantic hash** of every
 engine-semantic module (the scenario engine, the fleet couplers, every
-wireless sampler).  The semantic hash is the SHA-256 of the
-docstring-stripped AST dump, so comment/docstring/formatting edits do not
-churn the manifest while any executable change does.  ``EPOCH001`` fails
+wireless sampler, every teleop module).  The semantic hash is the SHA-256
+of the docstring-stripped AST dump, so comment/docstring/formatting edits
+do not churn the manifest while any executable change does.  ``EPOCH001`` fails
 when a tracked file changed without the manifest being regenerated (and the
 regeneration diff — with or without an epoch bump — is what the reviewer
 sees), when the manifest's epoch disagrees with the code, or when a tracked
@@ -31,7 +31,7 @@ from ..errors import ConfigurationError
 from .findings import Finding
 from .registry import ProjectContext, Rule, register
 
-#: Engine-semantic modules tracked explicitly (wireless/*.py is added by glob).
+#: Engine-semantic modules tracked explicitly (wireless/ and teleop/ are globbed).
 _TRACKED_FIXED = (
     "src/repro/scenarios/engine.py",
     "src/repro/fleet/__init__.py",
@@ -46,6 +46,10 @@ _TRACKED_FIXED = (
     "src/repro/service/spec.py",
 )
 
+#: Subpackages whose every module is engine-semantic: the delay samplers and
+#: channel models, and the operator datasets every stored result is built on.
+_TRACKED_PACKAGES = ("wireless", "teleop")
+
 #: Module whose ``ENGINE_EPOCH = <int>`` assignment defines the current epoch.
 EPOCH_SOURCE = "src/repro/scenarios/engine.py"
 
@@ -59,13 +63,15 @@ def tracked_files(root: Path) -> list[str]:
     The fixed set (scenario engine, fleet couplers and spec, service
     admission engine and policies) plus every module of
     :mod:`repro.wireless` — all delay samplers and channel models live
-    there, and a new sampler is engine-semantic by construction.
+    there, and a new sampler is engine-semantic by construction — and of
+    :mod:`repro.teleop`, whose operator datasets feed every stored result.
     """
     tracked = set(_TRACKED_FIXED)
-    wireless = Path(root) / "src" / "repro" / "wireless"
-    if wireless.is_dir():
-        for path in wireless.glob("*.py"):
-            tracked.add(path.relative_to(root).as_posix())
+    for package in _TRACKED_PACKAGES:
+        directory = Path(root) / "src" / "repro" / package
+        if directory.is_dir():
+            for path in directory.glob("*.py"):
+                tracked.add(path.relative_to(root).as_posix())
     return sorted(tracked)
 
 

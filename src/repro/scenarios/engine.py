@@ -104,18 +104,23 @@ class SharedDatasets:
         return self.experienced.n_joints
 
 
-@lru_cache(maxsize=16)
-def _cached_datasets(scale: ExperimentScale, seed: int) -> SharedDatasets:
+def generate_datasets(seed: int, train_repetitions: int, test_repetitions: int) -> SharedDatasets:
+    """Generate the experienced (seed) and inexperienced (seed + 1) streams, uncached."""
     controller = RemoteController()
     experienced = controller.stream_from_operator(
         OperatorModel(profile=experienced_operator(), seed=seed),
-        n_repetitions=scale.train_repetitions,
+        n_repetitions=train_repetitions,
     )
     inexperienced = controller.stream_from_operator(
         OperatorModel(profile=inexperienced_operator(), seed=seed + 1),
-        n_repetitions=scale.test_repetitions,
+        n_repetitions=test_repetitions,
     )
     return SharedDatasets(experienced=experienced, inexperienced=inexperienced)
+
+
+@lru_cache(maxsize=16)
+def _cached_datasets(scale: ExperimentScale, seed: int) -> SharedDatasets:
+    return generate_datasets(seed, scale.train_repetitions, scale.test_repetitions)
 
 
 def build_datasets(scale: str | ExperimentScale = "ci", seed: int = 42) -> SharedDatasets:

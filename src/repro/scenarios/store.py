@@ -38,8 +38,9 @@ What a shard stores — and what it does not
 ------------------------------------------
 
 A shard persists the complete summary row: the per-repetition metric tuples,
-the command count, the canonical spec (for debuggability and auditability)
-and the last repetition's delay trace.  The in-memory-only ``outcome``
+the command count, the canonical spec (for debuggability and auditability;
+non-finite values such as a recorded trace's lost-command delays are stored
+as ``null``) and the last repetition's delay trace.  The in-memory-only ``outcome``
 field (full trajectories, megabytes per session) is **not** persisted;
 results loaded from the store carry ``outcome=None``.  Everything the sweep
 tables, heatmaps and JSON reports read — :meth:`SessionResult.to_dict` and
@@ -87,6 +88,21 @@ def encode_delays(delays) -> list | None:
     if delays is None:
         return None
     return [float(v) if math.isfinite(v) else None for v in np.asarray(delays).ravel()]
+
+
+def _finite_json(value):
+    """``value`` with every non-finite float rendered as ``None`` (as in :func:`encode_delays`).
+
+    Finite values pass through unchanged, so records of finite specs keep
+    their exact bytes.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
+    return value
 
 
 def decode_delays(values) -> np.ndarray | None:
@@ -271,7 +287,7 @@ class ResultStore:
             "spec_hash": key,
             "kind": kind,
             "name": result.spec.name,
-            "spec": result.spec.canonical(),
+            "spec": _finite_json(result.spec.canonical()),
         }
         record.update(encode(result))
         return record

@@ -78,6 +78,43 @@ class CommandStream:
         return arm.trajectory_distance_mm(self.commands)
 
 
+def _clip(value: float, low: float, high: float) -> float:
+    """Scalar ``np.clip`` with NumPy's comparison order (max first, then min)."""
+    value = value if value > low else low
+    return value if value < high else high
+
+
+def _repair_joint(
+    raw: np.ndarray, out: np.ndarray, divergent: np.ndarray, offset: float, low: float, high: float
+) -> None:
+    """Re-run the exact rate-limit recurrence of one joint where speculation failed.
+
+    ``out[i]`` is correct wherever the state before step ``i`` equals
+    ``raw[i - 1]``.  From each divergent index the scalar recurrence takes
+    over until its state equals the raw motion again; from there on the
+    speculated values hold until the next divergence.  Equality by value is
+    enough: a state that differs from the raw motion only in the sign of
+    zero produces the same next command bit for bit.
+    """
+    raw_values = raw.tolist()
+    n = len(raw_values)
+    stop = 0
+    for index in divergent.tolist():
+        if index < stop:
+            continue  # already recomputed by the previous repair run
+        state = float(out[index])
+        repaired = []
+        stop = index + 1
+        while stop < n:
+            target = raw_values[stop]
+            state = _clip(state + _clip(target - state, -offset, offset), low, high)
+            repaired.append(state)
+            stop += 1
+            if state == target:
+                break
+        out[index + 1 : stop] = repaired
+
+
 class RemoteController:
     """Quantising remote controller sitting between the operator and the network.
 
@@ -120,14 +157,28 @@ class RemoteController:
             raise DimensionError(
                 f"raw motion must have {self.arm.n_joints} joints, got {raw_motion.shape[1]}"
             )
+        offset = self.moving_offset_rad
+        limits = self.arm.limits
         commands = np.empty_like(raw_motion)
-        current = raw_motion[0].copy()
-        commands[0] = self.arm.clamp(current)
-        for index in range(1, raw_motion.shape[0]):
-            delta = raw_motion[index] - current
-            delta = np.clip(delta, -self.moving_offset_rad, self.moving_offset_rad)
-            current = self.arm.clamp(current + delta)
-            commands[index] = current
+        commands[0] = self.arm.clamp(raw_motion[0])
+        # Speculate that the controller state before every step equals the raw
+        # motion: then each step is one vectorised clip/clamp of the raw delta.
+        previous = raw_motion[:-1]
+        commands[1:] = np.clip(
+            previous + np.clip(raw_motion[1:] - previous, -offset, offset),
+            limits.position_min,
+            limits.position_max,
+        )
+        divergent = commands[1:] != raw_motion[1:]
+        for joint in np.flatnonzero(divergent.any(axis=0)):
+            _repair_joint(
+                raw_motion[:, joint],
+                commands[:, joint],
+                np.flatnonzero(divergent[:, joint]) + 1,
+                offset,
+                float(limits.position_min[joint]),
+                float(limits.position_max[joint]),
+            )
         return CommandStream(commands, period_ms=self.command_period_ms, label=label)
 
     def stream_from_operator(self, operator: OperatorModel, n_repetitions: int = 10) -> CommandStream:

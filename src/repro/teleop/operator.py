@@ -130,6 +130,24 @@ def _trapezoidal(fraction: np.ndarray, ramp: float = 0.2) -> np.ndarray:
 _PROFILES = {"trapezoidal": _trapezoidal, "minimum-jerk": _minimum_jerk}
 
 
+def _smooth(innovations: np.ndarray, smoothing: float) -> np.ndarray:
+    """First-order wander filter ``w[k] = smoothing * w[k-1] + innovations[k]``.
+
+    Starts from ``w = 0`` and runs as a scalar float loop per joint: the same
+    IEEE operations in the same order as one vector update per command.
+    """
+    columns = []
+    for column in innovations.T.tolist():
+        value = 0.0
+        wander = []
+        append = wander.append
+        for innovation in column:
+            value = smoothing * value + innovation
+            append(value)
+        columns.append(wander)
+    return np.array(columns).T
+
+
 class OperatorModel:
     """Synthesises a 50 Hz joint-command stream for a repetitive task.
 
@@ -175,6 +193,11 @@ class OperatorModel:
 
         Returns an ``(n_commands, d)`` array starting from ``start_joints``
         (default: the first waypoint of the task).
+
+        No random draw depends on the motion state, so every move and dwell
+        segment draws its joystick noise as one ``(n_steps, d)`` block (the
+        same stream order as one draw per command).  Only the first-order
+        wander filter runs sequentially; positions are array expressions.
         """
         dt_s = self.command_period_ms / 1000.0
         profile = self.profile
@@ -184,39 +207,40 @@ class OperatorModel:
             if start_joints is not None
             else waypoints[0].joints.copy()
         )
-        commands: list[np.ndarray] = []
-        wander = np.zeros(self.n_joints)
 
+        # Draw phase: (target, fractions) per move, n_dwell per dwell, noise blocks.
+        segments: list[tuple[np.ndarray, np.ndarray, int]] = []
+        noise: list[np.ndarray] = []
         for waypoint in waypoints:
             duration = waypoint.move_duration_s * max(
                 0.2, 1.0 + self.rng.normal(0.0, profile.speed_variability)
             )
             n_steps = max(1, int(round(duration / dt_s)))
             target = waypoint.joints + self.rng.normal(0.0, profile.overshoot_rad, self.n_joints)
-            start = current.copy()
             fractions = self._profile_fn(np.arange(1, n_steps + 1) / n_steps)
-            for fraction in fractions:
-                wander = (
-                    profile.jitter_smoothing * wander
-                    + (1.0 - profile.jitter_smoothing)
-                    * self.rng.normal(0.0, profile.jitter_rad, self.n_joints)
-                )
-                command = start + fraction * (target - start) + wander
-                commands.append(command)
-            current = commands[-1].copy()
+            noise.append(self.rng.normal(0.0, profile.jitter_rad, (n_steps, self.n_joints)))
 
             dwell = waypoint.dwell_s
             if self.rng.random() < profile.pause_probability:
                 dwell += self.rng.exponential(profile.pause_duration_s)
             n_dwell = int(round(dwell / dt_s))
-            for _ in range(n_dwell):
-                wander = (
-                    profile.jitter_smoothing * wander
-                    + (1.0 - profile.jitter_smoothing)
-                    * self.rng.normal(0.0, profile.jitter_rad, self.n_joints)
-                )
-                commands.append(current + wander)
-        return np.array(commands)
+            noise.append(self.rng.normal(0.0, profile.jitter_rad, (n_dwell, self.n_joints)))
+            segments.append((target, fractions, n_dwell))
+
+        innovations = (1.0 - profile.jitter_smoothing) * np.concatenate(noise)
+        wander = _smooth(innovations, profile.jitter_smoothing)
+
+        # Position phase: each move starts where the previous move ended.
+        commands = np.empty(wander.shape)
+        row = 0
+        for target, fractions, n_dwell in segments:
+            stop = row + fractions.shape[0]
+            commands[row:stop] = current + fractions[:, None] * (target - current) + wander[row:stop]
+            current = commands[stop - 1]
+            row, stop = stop, stop + n_dwell
+            commands[row:stop] = current + wander[row:stop]
+            row = stop
+        return commands
 
     def generate_dataset(self, n_repetitions: int = 10) -> np.ndarray:
         """Concatenate ``n_repetitions`` task cycles into one command stream.

@@ -136,3 +136,14 @@ def test_new_wireless_module_must_enter_the_manifest(tmp_path):
     new.write_text('"""New sampler."""\n\nRATE = 2.0\n', encoding="utf-8")
     findings = epoch_findings(tmp_path, manifest_path)
     assert any(f.path.endswith("new_sampler.py") and "not covered" in f.message for f in findings)
+
+
+def test_teleop_modules_are_tracked_and_new_ones_must_enter_the_manifest(tmp_path):
+    """Operator datasets feed every stored result, so teleop is globbed like wireless."""
+    assert "src/repro/teleop/controller.py" in tracked_files(REPO_ROOT)
+    assert "src/repro/teleop/operator.py" in tracked_files(REPO_ROOT)
+    manifest_path = copy_engine_tree(tmp_path)
+    new = tmp_path / "src/repro/teleop/new_operator.py"
+    new.write_text('"""New operator model."""\n\nGAIN = 2.0\n', encoding="utf-8")
+    findings = epoch_findings(tmp_path, manifest_path)
+    assert any(f.path.endswith("new_operator.py") and "not covered" in f.message for f in findings)

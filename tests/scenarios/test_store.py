@@ -23,6 +23,7 @@ from repro.scenarios import (
     SessionResult,
     SweepExecutor,
     clean_channel,
+    get_scenario,
     loss_burst_channel,
     scenario_grid,
 )
@@ -341,3 +342,31 @@ def test_runner_store_and_resume_flags(tmp_path):
             [], "ci", 42, fmt="json", scenarios=["bursty-loss"],
             store=str(tmp_path / "typo"), resume=True,
         )
+
+
+# ---------------------------------------------------- non-finite spec values
+def test_trace_replay_sweep_is_warm_on_rerun(tmp_path):
+    """A recorded trace holds inf delays; its shard must still be writable."""
+    specs = scenario_grid(
+        get_scenario("trace-replay").with_(run_seconds=RUN_SECONDS, repetitions=1),
+        {"seed": (1, 2)},
+    )
+    cold = SweepExecutor(store=ResultStore(tmp_path)).run(specs)
+    assert (cold.store_hits, cold.store_misses) == (0, 2)
+    warm = SweepExecutor(store=ResultStore(tmp_path)).run(specs)
+    assert (warm.store_hits, warm.store_misses) == (2, 0)
+    assert warm.hit_fraction == 1.0
+    assert [row.to_dict() for row in warm] == [row.to_dict() for row in cold]
+    record = json.loads(ResultStore(tmp_path).shard_path(specs[0].spec_hash()).read_text())
+    assert None in dict(record["spec"]["channel"]["params"])["delays_ms"]
+
+
+def test_finite_spec_shard_bytes_are_unchanged(tmp_path):
+    """Finite specs serialise exactly as their plain canonical form."""
+    spec = _spec(channel=clean_channel())
+    store = ResultStore(tmp_path)
+    path = store.put(spec, _synthetic_result(spec))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record["spec"] = spec.canonical()
+    expected = json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
