@@ -7,7 +7,6 @@ headline results depend on:
 * forecast feedback vs oracle feedback during loss bursts (§VII-C),
 * the VAR record length R,
 * the ridge shrinkage that stabilises iterated forecasting,
-* the robot driver's fallback policy (hold vs stop),
 * the tolerance τ.
 
 Every ablation is a one-axis scenario grid executed through the shared
@@ -102,22 +101,6 @@ def test_ridge_sweep(benchmark, bench_scale, bench_seed):
         "\n".join(f"ridge={ridge:<7g}: FoReCo RMSE {value:.2f} mm" for ridge, value in results.items()),
     )
     assert results[3e-2] <= results[0.0] * 1.5
-
-
-def test_driver_fallback(benchmark, bench_scale, bench_seed):
-    """Hold-last-command (Niryo behaviour) vs stop-in-place baseline fallback."""
-
-    def run() -> dict[str, float]:
-        base = _base(bench_scale, bench_seed, _BURSTS)
-        sweep = _sweep(base, "fallback", ("hold", "stop"))
-        return {row.spec.fallback: row.mean_rmse_no_forecast_mm for row in sweep}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "Ablation — driver fallback",
-        "\n".join(f"{mode:5s}: baseline RMSE {value:.2f} mm" for mode, value in results.items()),
-    )
-    assert all(value >= 0.0 for value in results.values())
 
 
 def test_tolerance_sweep(benchmark, bench_scale, bench_seed):

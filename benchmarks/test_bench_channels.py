@@ -1,8 +1,9 @@
 """Benchmark: vectorized channel sampling vs the serial per-repetition loop.
 
 Samples the same set of repetition seeds two ways — one serial
-``sample_channel_delays`` call per repetition (the engine's pre-vectorization
-path, which rebuilds the channel model and walks a Python loop per command)
+``sample_channel_delays`` call per repetition (the ``tests.oracles.channels``
+reference sampler, the engine's pre-vectorization path, which rebuilds the
+channel model and walks a Python loop per command)
 and one ``sample_channel_delays_batch`` call (Bianchi fixed point solved
 once, all repetitions advanced in lockstep ``(B, n)`` arrays) — and reports
 repetition-sampling throughput per channel kind.
@@ -19,7 +20,8 @@ import time
 
 import numpy as np
 
-from repro.scenarios import get_scenario, sample_channel_delays, sample_channel_delays_batch
+from repro.scenarios import get_scenario, sample_channel_delays_batch
+from tests.oracles.channels import sample_channel_delays
 
 from conftest import emit, record_metric
 

@@ -294,7 +294,7 @@ def _forecaster_table() -> list[str]:
             # shipped reference (and would make the generated page depend on
             # what happens to be registered in this process).
             continue
-        batched = "yes" if forecaster.supports_batch_predict else "no (serial fallback)"
+        batched = "yes" if forecaster.supports_batch_predict else "no (per-row copies)"
         lines.append(f"| `{name}` | `{type(forecaster).__name__}` | {batched} |")
     return lines
 
@@ -352,12 +352,11 @@ def render() -> str:
     parts.append("[Validation](validation.md).\n")
     parts.append("## Channel kinds\n")
     parts.extend(_channel_kind_table())
-    parts.append("\nEvery kind samples through `sample_channel_delays` (serial, one")
-    parts.append("repetition per seed) and `sample_channel_delays_batch` (all")
-    parts.append("repetitions as one `(B, n)` array).  The two paths are bit-identical")
-    parts.append("per seed — the serial sampler is the oracle — and the batched path")
-    parts.append("is what `SessionEngine` uses for multi-repetition specs (see")
-    parts.append("[Performance](performance.md)).\n")
+    parts.append("\nEvery kind samples through `sample_channel_delays_batch` (all")
+    parts.append("repetitions as one `(B, n)` array; a single repetition is `B = 1`),")
+    parts.append("the one sampler every engine uses.  Each row is bit-identical to the")
+    parts.append("serial one-repetition-per-seed oracle in `tests/oracles/channels.py`")
+    parts.append("(see [Performance](performance.md)).\n")
     parts.append("## Fleet presets\n")
     parts.extend(_fleet_table())
     parts.append("\nA fleet runs `operators` concurrent sessions of its template scenario,")

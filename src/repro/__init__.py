@@ -74,7 +74,6 @@ from .core import (
     CommandDataset,
     ForecoConfig,
     ForecoRecovery,
-    RemoteControlSimulation,
     SimulationOutcome,
     TrainingPipeline,
     compare_baseline_and_foreco,
@@ -127,7 +126,6 @@ __all__ = [
     "CommandDataset",
     "ForecoConfig",
     "ForecoRecovery",
-    "RemoteControlSimulation",
     "SimulationOutcome",
     "TrainingPipeline",
     "compare_baseline_and_foreco",

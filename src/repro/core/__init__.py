@@ -13,9 +13,10 @@ The building blocks follow Fig. 3 of the paper:
 * :mod:`repro.core.recovery` — the runtime recovery engine: it watches for
   commands that miss their deadline ``a(c_i) + Ω + τ`` and injects forecasts
   into the robot driver.
-* :mod:`repro.core.simulation` — an end-to-end remote-control session wiring
-  operator commands, the wireless channel, the recovery engine and the robot
-  driver; this is what the simulation and experimental evaluations run.
+* :mod:`repro.core.simulation` — the session kernel: end-to-end
+  remote-control sessions wiring operator commands, channel delays, the
+  recovery engine and the robot, ``B`` repetitions at a time; this is what
+  the simulation and experimental evaluations run.
 """
 
 from .config import ForecoConfig
@@ -24,7 +25,6 @@ from .pipeline import PipelineTimings, TrainingPipeline, TrainingReport
 from .recovery import BatchedRecoveryResult, ForecoRecovery, RecoveryDecision, RecoveryStats
 from .simulation import (
     BatchedRemoteControlSimulation,
-    RemoteControlSimulation,
     SimulationOutcome,
     baseline_target_indices,
     compare_baseline_and_foreco,
@@ -44,7 +44,6 @@ __all__ = [
     "ForecoRecovery",
     "RecoveryDecision",
     "RecoveryStats",
-    "RemoteControlSimulation",
     "SimulationOutcome",
     "compare_baseline_and_foreco",
 ]

@@ -19,6 +19,7 @@ command arrived within its own 20 ms slot".
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,14 +270,22 @@ class ForecoRecovery:
         BatchedRecoveryResult
             Whose ``executed[b]`` is bit-identical to
             ``process_stream(commands, delays_ms[b])`` on a fresh recovery
-            engine, provided the forecaster honours
-            :attr:`~repro.forecasting.Forecaster.supports_batch_predict`.
+            engine around a fresh copy of the forecaster.
 
         Notes
         -----
+        A forecaster that sets
+        :attr:`~repro.forecasting.Forecaster.supports_batch_predict`
+        forecasts every missing row in one ``predict_next_batch`` call.  Any
+        other forecaster (e.g. a registered custom class with predict-time
+        state) gets one deep copy per row, and each copy's ``predict_next``
+        sees only its own row's missing slots — the serial semantics of one
+        fresh forecaster per repetition.
+
         Unlike :meth:`process_stream` this method keeps no per-slot dataset
-        and leaves the instance's serial state (``dataset``, ``stats``)
-        untouched; all bookkeeping is returned in the result object.
+        and leaves the instance's serial state (``dataset``, ``stats``,
+        ``forecaster``) untouched; all bookkeeping is returned in the
+        result object.
         """
         commands = np.asarray(commands, dtype=float)
         delays_ms = np.asarray(delays_ms, dtype=float)
@@ -290,6 +299,9 @@ class ForecoRecovery:
         max_step = self.config.max_step_rad
         oracle = self.config.feedback == "oracle"
         model_ready = self.forecaster.is_fitted
+        row_forecasters = None
+        if not getattr(self.forecaster, "supports_batch_predict", False):
+            row_forecasters = [copy.deepcopy(self.forecaster) for _ in range(n_batch)]
 
         on_time = np.isfinite(delays_ms) & (delays_ms <= self.config.deadline_ms)
         executed = np.empty((n_batch, n_slots, n_joints))
@@ -308,7 +320,18 @@ class ForecoRecovery:
             slot_executed = np.broadcast_to(command, (n_batch, n_joints)).copy()
             if missing.any():
                 if model_ready and filled >= record:
-                    forecasts = self.forecaster.predict_next_batch(history[missing])
+                    if row_forecasters is None:
+                        forecasts = self.forecaster.predict_next_batch(history[missing])
+                    else:
+                        forecasts = np.stack(
+                            [
+                                np.asarray(
+                                    row_forecasters[row].predict_next(np.array(history[row])),
+                                    dtype=float,
+                                ).ravel()
+                                for row in np.flatnonzero(missing)
+                            ]
+                        )
                     if max_step is not None:
                         previous = history[missing, -1, :]
                         step = np.clip(forecasts - previous, -max_step, max_step)

@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, DimensionError
-from ..robot.driver import DriverConfig, RobotDriver
+from ..robot.driver import DriverConfig
 from ..robot.niryo import NiryoOneArm
 from ..robot.pid import JointPidController
-from ..robot.trajectory import JointTrajectory, trajectory_rmse_mm
-from ..wireless.channel import CommandDelayTrace
+from ..robot.trajectory import JointTrajectory
 from .config import ForecoConfig
 from .recovery import ForecoRecovery
 
@@ -118,91 +117,8 @@ def baseline_target_indices(delays_ms: np.ndarray, command_period_ms: float) -> 
     return np.where(newest_at >= 0, newest_at, 0)
 
 
-class RemoteControlSimulation:
-    """Replays a command stream through a channel, with and without FoReCo."""
-
-    def __init__(
-        self,
-        recovery: ForecoRecovery,
-        arm: NiryoOneArm | None = None,
-        use_pid: bool = False,
-        fallback: str = "hold",
-    ) -> None:
-        if not recovery.is_ready:
-            raise ConfigurationError("the recovery engine must be trained before simulating")
-        self.recovery = recovery
-        self.arm = arm if arm is not None else NiryoOneArm()
-        self.use_pid = bool(use_pid)
-        self.fallback = fallback
-
-    # ------------------------------------------------------------------ run
-    def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> SimulationOutcome:
-        """Execute one session given per-command end-to-end delays."""
-        commands = np.asarray(commands, dtype=float)
-        delays_ms = np.asarray(delays_ms, dtype=float).ravel()
-        if commands.ndim != 2 or commands.shape[0] != delays_ms.size:
-            raise DimensionError("commands and delays_ms lengths must match")
-        config = self.recovery.config
-
-        # FoReCo pass: compute per-slot executed targets (real or forecast).
-        foreco_targets = self.recovery.process_stream(commands, delays_ms)
-        on_time_mask = np.array(
-            [self.recovery.is_on_time(delay) for delay in delays_ms], dtype=bool
-        )
-        late_fraction = float(1.0 - on_time_mask.mean())
-        recovery_fraction = self.recovery.stats.recovery_fraction
-
-        driver_config = DriverConfig(
-            command_period_ms=config.command_period_ms,
-            tolerance_ms=config.tolerance_ms,
-            fallback=self.fallback,  # type: ignore[arg-type]
-            use_pid=self.use_pid,
-        )
-
-        # Baseline: execute commands as they arrive (stock stack behaviour).
-        baseline_targets = self._baseline_targets(commands, delays_ms)
-        baseline_driver = RobotDriver(arm=self.arm, config=driver_config)
-        baseline_log = baseline_driver.run(
-            baseline_targets, np.ones(commands.shape[0], dtype=bool), forecasts=None
-        )
-
-        # FoReCo: inject the recovery engine's forecasts for missing slots.
-        foreco_driver = RobotDriver(arm=self.arm, config=driver_config)
-        foreco_log = foreco_driver.run(commands, on_time_mask, forecasts=foreco_targets)
-
-        period_s = config.command_period_ms / 1000.0
-        times = np.arange(commands.shape[0]) * period_s
-        defined = JointTrajectory(times, commands, label="defined")
-        baseline = baseline_log.executed_trajectory(label="no-forecast")
-        foreco = foreco_log.executed_trajectory(label="foreco")
-
-        return SimulationOutcome(
-            rmse_no_forecast_mm=trajectory_rmse_mm(baseline.joints, commands, arm=self.arm),
-            rmse_foreco_mm=trajectory_rmse_mm(foreco.joints, commands, arm=self.arm),
-            late_fraction=late_fraction,
-            recovery_fraction=recovery_fraction,
-            defined=defined,
-            baseline=baseline,
-            foreco=foreco,
-        )
-
-    def _baseline_targets(self, commands: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
-        """Per-slot targets executed by the stock (no-forecast) robot stack."""
-        period = self.recovery.config.command_period_ms
-        return commands[baseline_target_indices(delays_ms, period)]
-
-    def run_trace(self, commands: np.ndarray, trace: CommandDelayTrace) -> SimulationOutcome:
-        """Convenience wrapper accepting a :class:`CommandDelayTrace`."""
-        delays = trace.delays()
-        if delays.size < commands.shape[0]:
-            raise DimensionError(
-                f"trace has {delays.size} samples but the stream has {commands.shape[0]} commands"
-            )
-        return self.run(commands, delays[: commands.shape[0]])
-
-
 class BatchedRemoteControlSimulation:
-    """Vectorized variant of :class:`RemoteControlSimulation` over ``B`` runs.
+    """The session kernel: replays ``B`` channel realisations of one stream.
 
     The paper's headline numbers are means over many repeated sessions that
     share one command stream but see independent channel realisations.  Those
@@ -211,17 +127,22 @@ class BatchedRemoteControlSimulation:
     ``(B, ...)`` arrays, then reduces to one :class:`SimulationOutcome` per
     repetition.  Every array operation involved is elementwise or uses a
     batch-size-invariant reduction, so each outcome is **bit-identical** to
-    what a serial :class:`RemoteControlSimulation` run would have produced
-    for the same delay trace (this is asserted by the test suite).
+    what a standalone single-session run would have produced for the same
+    delay trace (the test suite checks this against a serial oracle).
+    ``B = 1`` is the single-session case.
 
     Parameters
     ----------
     recovery:
-        A trained recovery engine whose forecaster has
-        ``supports_batch_predict = True``.  One shared engine serves the
-        whole batch; per-repetition bookkeeping lives in the stacked arrays.
-    arm / use_pid / fallback:
-        Same meaning as on :class:`RemoteControlSimulation`.
+        A trained recovery engine.  One shared engine serves the whole
+        batch; per-repetition bookkeeping lives in the stacked arrays (and a
+        forecaster without batched prediction is deep-copied per row, see
+        :meth:`ForecoRecovery.process_stream_batch`).
+    arm:
+        The robot model (a default Niryo One when omitted).
+    use_pid:
+        Execute through the PID joint controller (dynamic mode) instead of
+        perfect tracking.
     """
 
     def __init__(
@@ -229,25 +150,17 @@ class BatchedRemoteControlSimulation:
         recovery: ForecoRecovery,
         arm: NiryoOneArm | None = None,
         use_pid: bool = False,
-        fallback: str = "hold",
     ) -> None:
         if not recovery.is_ready:
             raise ConfigurationError("the recovery engine must be trained before simulating")
-        if not getattr(recovery.forecaster, "supports_batch_predict", False):
-            raise ConfigurationError(
-                f"{type(recovery.forecaster).__name__} does not support batched prediction; "
-                "run the serial RemoteControlSimulation instead"
-            )
         self.recovery = recovery
         self.arm = arm if arm is not None else NiryoOneArm()
         self.use_pid = bool(use_pid)
-        self.fallback = fallback
-        # Validates the period/tolerance/fallback combination exactly like
-        # the serial driver does.
+        # Validates the period/tolerance combination exactly like the robot
+        # driver does, and carries the PID gains for dynamic mode.
         self._driver_config = DriverConfig(
             command_period_ms=recovery.config.command_period_ms,
             tolerance_ms=recovery.config.tolerance_ms,
-            fallback=fallback,  # type: ignore[arg-type]
             use_pid=self.use_pid,
         )
 
@@ -289,8 +202,8 @@ class BatchedRemoteControlSimulation:
                 baseline_target_indices(delays_ms[index], period_ms)
             ]
 
-        # Both serial driver runs start from the raw first defined command
-        # (RobotDriver.run resets to its stream's first row, which is
+        # Both executions start from the raw first defined command (the
+        # robot driver resets to its stream's first row, which is
         # commands[0] for the FoReCo stream and for the baseline stream).
         baseline_executed = self._execute_batch(baseline_targets, initial=commands[0])
         foreco_executed = self._execute_batch(batch.executed, initial=commands[0])
@@ -299,7 +212,7 @@ class BatchedRemoteControlSimulation:
         # The defined trajectory is shared by every repetition and both
         # metric passes: evaluate its forward kinematics once instead of 2B
         # times inside trajectory_rmse_mm (same function of the same input,
-        # so the RMSE stays bit-identical to the serial path's).
+        # so the RMSE stays bit-identical to trajectory_rmse_mm's).
         defined_mm = self.arm.kinematics.positions(commands) * 1000.0
 
         def rmse_mm(executed: np.ndarray) -> float:
@@ -331,10 +244,11 @@ class BatchedRemoteControlSimulation:
 
         Kinematic mode reduces to the joint-limit clamp; dynamic mode steps
         one :class:`~repro.robot.pid.JointPidController` whose ``B * d``
-        "joints" are the stacked repetitions, reusing the serial PID
+        "joints" are the stacked repetitions, reusing the single-robot PID
         implementation verbatim — its math is purely elementwise, so each
         repetition's trajectory is unchanged by the stacking.  ``initial`` is
-        the (raw, unclamped) joint state the serial driver resets to.
+        the (raw, unclamped) joint state a :class:`~repro.robot.driver.
+        RobotDriver` resets to.
         """
         limits = self.arm.limits
         clamped = np.clip(targets, limits.position_min, limits.position_max)
@@ -391,5 +305,5 @@ def compare_baseline_and_foreco(
     config = config if config is not None else ForecoConfig()
     recovery = ForecoRecovery(config=config)
     recovery.train(training_commands)
-    simulation = RemoteControlSimulation(recovery, use_pid=use_pid)
-    return simulation.run(test_commands, delays_ms)
+    simulation = BatchedRemoteControlSimulation(recovery, use_pid=use_pid)
+    return simulation.run(test_commands, np.asarray(delays_ms, dtype=float).ravel())[0]

@@ -56,12 +56,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..scenarios.store import ResultStore
 
-from ..core.recovery import ForecoRecovery
-from ..core.simulation import (
-    BatchedRemoteControlSimulation,
-    RemoteControlSimulation,
-    SimulationOutcome,
-)
+from ..core.simulation import SimulationOutcome
 from ..errors import ConfigurationError
 from ..scenarios.engine import SessionEngine, repetition_seed, sample_channel_delays_batch
 from ..scenarios.spec import ScenarioSpec
@@ -345,18 +340,12 @@ class FleetEngine:
     ----------
     sessions:
         The :class:`~repro.scenarios.SessionEngine` supplying datasets,
-        trained forecasters and the template command stream (a private one
-        is created when omitted).  The fleet engine never calls
-        ``sessions.run`` — session results of fleet members are not
-        individually cached or stored; the fleet result is the unit.
+        trained forecasters, the template command stream and the session
+        kernel (:meth:`~repro.scenarios.SessionEngine.simulate`); a private
+        one is created when omitted.  Session results of fleet members are
+        not individually cached or stored; the fleet result is the unit.
     cache_results:
         Keep finished :class:`FleetResult` objects keyed by spec hash.
-    batch:
-        Advance all admitted operator-sessions through the batched session
-        kernel as one stacked computation (the default, several times faster
-        at bit-identical results).  ``batch=False`` forces the serial
-        per-session loop — the equality oracle the benchmark gate measures
-        against.
     store:
         Optional persistent :class:`~repro.scenarios.ResultStore`.  Fleet
         results share the store (and its engine-epoch scheme) with session
@@ -368,23 +357,17 @@ class FleetEngine:
         self,
         sessions: SessionEngine | None = None,
         cache_results: bool = True,
-        batch: bool = True,
         store: "ResultStore | None" = None,
     ) -> None:
         self.sessions = sessions if sessions is not None else SessionEngine()
         self.cache_results = bool(cache_results)
-        self.batch = bool(batch)
         self.store = store
         self._results: dict[str, FleetResult] = {}
         self._results_lock = threading.Lock()
 
     # ------------------------------------------------------------------- run
-    def run(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
-        """Run one fleet (all repetitions, all admitted operators).
-
-        ``batch`` overrides the engine's :attr:`batch` setting per call;
-        both paths produce bit-identical results.
-        """
+    def run(self, fleet: FleetSpec) -> FleetResult:
+        """Run one fleet (all repetitions, all admitted operators)."""
         key = fleet.spec_hash()
         if self.cache_results:
             with self._results_lock:
@@ -399,7 +382,7 @@ class FleetEngine:
                         stored = self._results.setdefault(key, stored)
                 return stored
 
-        result = self._compute(fleet, batch=batch)
+        result = self._compute(fleet)
         if self.cache_results:
             with self._results_lock:
                 result = self._results.setdefault(key, result)
@@ -408,7 +391,7 @@ class FleetEngine:
         return result
 
     # --------------------------------------------------------------- compute
-    def _compute(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
+    def _compute(self, fleet: FleetSpec) -> FleetResult:
         """Plan, sample, couple and simulate one fleet from scratch.
 
         The base engine handles the ``"exact"`` tier only; hybrid-tier
@@ -422,9 +405,9 @@ class FleetEngine:
                 f"FleetEngine runs tier='exact' fleets only, got tier={fleet.tier!r}; "
                 "use repro.fleet.HybridFleetEngine (it handles both tiers)"
             )
-        return self._compute_exact(fleet, batch=batch)
+        return self._compute_exact(fleet)
 
-    def _compute_exact(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
+    def _compute_exact(self, fleet: FleetSpec) -> FleetResult:
         """The exact path: every admitted session through the Lindley backlog."""
         template = fleet.template
         commands = self.sessions.test_commands(template)
@@ -466,8 +449,8 @@ class FleetEngine:
         # 3. Couple the sessions through their shared per-AP backlog.
         coupled, utilization = self._couple(fleet, plans, base, n_commands, period)
 
-        # 4. One batched kernel pass over every admitted operator-session.
-        outcomes = self._simulate(template, commands, coupled, batch=batch)
+        # 4. One session-kernel pass over every admitted operator-session.
+        outcomes = self.sessions.simulate(template, commands, coupled)
 
         completion = self._completion_times(sessions_flat, coupled, n_commands, period)
         return FleetResult(
@@ -530,43 +513,6 @@ class FleetEngine:
                     )
                 utilization[repetition, ap] = float(np.minimum(work / period, 1.0).mean())
         return coupled, tuple(float(u) for u in utilization.mean(axis=0))
-
-    def _simulate(
-        self,
-        template: ScenarioSpec,
-        commands: np.ndarray,
-        delays: np.ndarray,
-        batch: bool | None = None,
-    ) -> list[SimulationOutcome]:
-        """Execute the coupled delay stack through the session kernel.
-
-        Mirrors :class:`SessionEngine`'s routing: the batched kernel when
-        the forecaster supports stacked prediction and there is more than
-        one row, the serial reference loop otherwise — bit-identical either
-        way.
-        """
-        master = self.sessions.trained_forecaster(template)
-        use_batch = self.batch if batch is None else bool(batch)
-        if use_batch and delays.shape[0] > 1 and getattr(master, "supports_batch_predict", False):
-            recovery = ForecoRecovery(
-                config=template.foreco.to_config(),
-                forecaster=self.sessions.session_forecaster(template),
-            )
-            simulation = BatchedRemoteControlSimulation(
-                recovery, use_pid=template.use_pid, fallback=template.fallback
-            )
-            return simulation.run(commands, delays)
-        outcomes: list[SimulationOutcome] = []
-        for row in range(delays.shape[0]):
-            recovery = ForecoRecovery(
-                config=template.foreco.to_config(),
-                forecaster=self.sessions.session_forecaster(template),
-            )
-            simulation = RemoteControlSimulation(
-                recovery, use_pid=template.use_pid, fallback=template.fallback
-            )
-            outcomes.append(simulation.run(commands, delays[row]))
-        return outcomes
 
     @staticmethod
     def _completion_times(

@@ -169,10 +169,10 @@ class HybridFleetEngine(FleetEngine):
     engine instance serves mixed-tier sweeps.
     """
 
-    def _compute(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
+    def _compute(self, fleet: FleetSpec) -> FleetResult:
         if fleet.tier == "exact":
-            return self._compute_exact(fleet, batch=batch)
-        return self._compute_hybrid(fleet, batch=batch)
+            return self._compute_exact(fleet)
+        return self._compute_hybrid(fleet)
 
     # -------------------------------------------------------------- classify
     def classify(self, fleet: FleetSpec) -> tuple[ApClassification, ...]:
@@ -186,7 +186,7 @@ class HybridFleetEngine(FleetEngine):
         return classify_aps(fleet, plans, n_commands)
 
     # ---------------------------------------------------------------- hybrid
-    def _compute_hybrid(self, fleet: FleetSpec, batch: bool | None = None) -> FleetResult:
+    def _compute_hybrid(self, fleet: FleetSpec) -> FleetResult:
         """Classify, simulate hot APs exactly, service cold APs analytically."""
         template = fleet.template
         commands = self.sessions.test_commands(template)
@@ -212,7 +212,7 @@ class HybridFleetEngine(FleetEngine):
             # Every occupied AP is hot: the hybrid tier degenerates to the
             # exact computation, bit for bit (only the tier metadata and the
             # spec hash differ from the exact twin).
-            result = self._compute_exact(fleet, batch=batch)
+            result = self._compute_exact(fleet)
             result.hot_aps = hot_count
             result.cold_aps = cold_count
             return result
@@ -238,7 +238,7 @@ class HybridFleetEngine(FleetEngine):
                 template.channel, n_commands, seeds, command_period_ms=period
             )
             coupled, utilization = self._couple(fleet, hot_plans, base, n_commands, period)
-            outcomes = self._simulate(template, commands, coupled, batch=batch)
+            outcomes = self.sessions.simulate(template, commands, coupled)
         else:
             coupled = np.zeros((0, n_commands))
             utilization = tuple(0.0 for _ in range(fleet.aps))

@@ -595,9 +595,18 @@ class CapacityPlanner:
                     )
                     vector = (best_row.p99_violation, best_row.late_violation)
                     norm = vector[0] ** 2 + vector[1] ** 2
-                    alpha = max(0.0, gap) / norm
-                    lam = (lam[0] + alpha * vector[0], lam[1] + alpha * vector[1])
-                    best = max(candidates, key=lambda c: (self._lagrangian(run, c, lam), -c))
+                    if norm == 0.0:
+                        # A subnormal violation squares to zero: no finite
+                        # multiplier prices it, so stay at the feasible
+                        # iterate (the gates are load-monotone, so the
+                        # violating neighbour lies above it).
+                        best = current
+                    else:
+                        alpha = max(0.0, gap) / norm
+                        lam = (lam[0] + alpha * vector[0], lam[1] + alpha * vector[1])
+                        best = max(
+                            candidates, key=lambda c: (self._lagrangian(run, c, lam), -c)
+                        )
                 nxt = best
             else:
                 # Quality gates are load-monotone: everything above a

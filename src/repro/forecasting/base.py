@@ -93,7 +93,8 @@ class Forecaster(abc.ABC):
     #: return on an independent, freshly deep-copied instance fed the same
     #: history.  Stateless predictors satisfy this trivially; predictors with
     #: mutable predict-time state must either vectorize that state per row or
-    #: leave the flag ``False`` so the engine falls back to the serial path.
+    #: leave the flag ``False``, in which case the session kernel gives every
+    #: row its own deep copy and calls :meth:`predict_next` row by row.
     supports_batch_predict = False
 
     def __init__(self, record: int = 5) -> None:

@@ -9,8 +9,8 @@ test; it silently serves stale physics out of warm stores.
 
 This module turns the convention into a mechanical check.  A committed
 manifest maps the current epoch to a **semantic hash** of every
-engine-semantic module (the scenario engine, the fleet couplers, every
-wireless sampler, every teleop module).  The semantic hash is the SHA-256
+engine-semantic module (the session kernel, the scenario engine, the fleet
+couplers, every wireless sampler, every teleop module).  The semantic hash is the SHA-256
 of the docstring-stripped AST dump, so comment/docstring/formatting edits
 do not churn the manifest while any executable change does.  ``EPOCH001`` fails
 when a tracked file changed without the manifest being regenerated (and the
@@ -33,6 +33,8 @@ from .registry import ProjectContext, Rule, register
 
 #: Engine-semantic modules tracked explicitly (wireless/ and teleop/ are globbed).
 _TRACKED_FIXED = (
+    "src/repro/core/recovery.py",
+    "src/repro/core/simulation.py",
     "src/repro/scenarios/engine.py",
     "src/repro/fleet/__init__.py",
     "src/repro/fleet/engine.py",
@@ -60,8 +62,9 @@ MANIFEST_VERSION = 1
 def tracked_files(root: Path) -> list[str]:
     """The engine-semantic modules the manifest must cover (sorted, relative).
 
-    The fixed set (scenario engine, fleet couplers and spec, service
-    admission engine and policies) plus every module of
+    The fixed set (the session kernel's recovery and simulation modules,
+    scenario engine, fleet couplers and spec, service admission engine and
+    policies) plus every module of
     :mod:`repro.wireless` — all delay samplers and channel models live
     there, and a new sampler is engine-semantic by construction — and of
     :mod:`repro.teleop`, whose operator datasets feed every stored result.

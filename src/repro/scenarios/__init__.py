@@ -13,9 +13,10 @@ and the ``foreco-experiments`` CLI all describe work as
   ``bursty-loss``, ``jammer``, ``congested-ap``, ``jammer-congestion``,
   ``operator-mix``, ``random-loss``, ``markov-interference``, ``handover``,
   ``trace-replay``);
-* :mod:`repro.scenarios.engine` — resolves one spec into
-  :class:`repro.core.RemoteControlSimulation` runs with dataset /
-  forecaster / result caching keyed by the spec hash;
+* :mod:`repro.scenarios.engine` — resolves one spec into one
+  :class:`repro.core.BatchedRemoteControlSimulation` pass over all its
+  repetitions, with dataset / forecaster / result caching keyed by the spec
+  hash;
 * :mod:`repro.scenarios.sweep` — fans lists/grids of specs out over worker
   threads and returns a uniform :class:`SweepResult` table;
 * :mod:`repro.scenarios.store` — persistent, content-addressed
@@ -36,7 +37,6 @@ from .engine import (
     build_datasets,
     compound_stage_seed,
     repetition_seed,
-    sample_channel_delays,
     sample_channel_delays_batch,
 )
 from .grammar import Knob, ScenarioGrammar
@@ -120,7 +120,6 @@ __all__ = [
     "register_scenario",
     "repetition_seed",
     "run_search",
-    "sample_channel_delays",
     "sample_channel_delays_batch",
     "scale_names",
     "scenario_catalog",

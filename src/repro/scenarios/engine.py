@@ -18,12 +18,12 @@ Determinism is by construction: every random draw is seeded from the spec
 hash and the repetition index, never from execution order, so a sweep
 produces bit-identical results with 1 or N workers.
 
-Repetitions execute through the **batched session kernel** by default: all
-of a spec's channel realisations advance as one stacked NumPy computation
-(:class:`repro.core.BatchedRemoteControlSimulation`) instead of a serial
-Python loop, which is several times faster at equal results — the serial
-path is kept behind the ``batch=False`` escape hatch and doubles as the
-bit-equality oracle in the tests.
+Every session executes through the **session kernel**: all of a spec's
+channel realisations (one or many) are sampled as one ``(B, n)`` array
+(:func:`sample_channel_delays_batch`) and advance as one stacked NumPy
+computation (:class:`repro.core.BatchedRemoteControlSimulation`).  There is
+no second execution path; the serial reference loops the kernel is checked
+against bit for bit live in the test suite.
 """
 
 from __future__ import annotations
@@ -42,11 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports engine
     from .store import ResultStore
 
 from ..core.recovery import ForecoRecovery
-from ..core.simulation import (
-    BatchedRemoteControlSimulation,
-    RemoteControlSimulation,
-    SimulationOutcome,
-)
+from ..core.simulation import BatchedRemoteControlSimulation, SimulationOutcome
 from ..errors import ConfigurationError
 from ..forecasting import make_forecaster
 from ..teleop import (
@@ -59,13 +55,10 @@ from ..teleop.controller import CommandStream
 from .._validation import rng_from
 from ..wireless import (
     ConsecutiveLossInjector,
-    GilbertElliottJammer,
-    HandoverChannel,
     HandoverConfig,
     InterferenceSource,
     JammerConfig,
     MarkovChannelConfig,
-    MarkovModulatedChannel,
     PeriodicLossInjector,
     RandomLossInjector,
     WirelessChannel,
@@ -224,59 +217,6 @@ def _trace_replay(options: dict, n_commands: int, seeds) -> np.ndarray:
     return recorded[indices]
 
 
-def sample_channel_delays(
-    channel: ChannelSpec,
-    n_commands: int,
-    seed: int,
-    command_period_ms: float = 20.0,
-) -> np.ndarray:
-    """Sample one realisation of per-command delays (ms, ``inf`` = lost).
-
-    This is the serial reference path — one repetition at a time, kept as
-    the bit-equality oracle for :func:`sample_channel_delays_batch`.
-    """
-    options = channel.options()
-    if channel.kind == "clean":
-        return np.full(n_commands, float(options.get("nominal_delay_ms", 1.0)))
-    if channel.kind == "wireless":
-        wireless = _wireless_from_options(options, command_period_ms, seed=seed)
-        return wireless.sample_trace(n_commands).delays()
-    if channel.kind == "jammer":
-        jammer = GilbertElliottJammer(config=JammerConfig(**options), seed=seed)
-        return jammer.sample_trace(n_commands).delays()
-    if channel.kind == "loss-burst":
-        nominal = float(options.pop("nominal_delay_ms", 1.0))
-        injector = ConsecutiveLossInjector(seed=seed, **options)
-        return injector.to_delays(n_commands, nominal_delay_ms=nominal)
-    if channel.kind == "periodic-loss":
-        nominal = float(options.pop("nominal_delay_ms", 1.0))
-        injector = PeriodicLossInjector(**options)
-        return injector.to_delays(n_commands, nominal_delay_ms=nominal)
-    if channel.kind == "random-loss":
-        nominal = float(options.pop("nominal_delay_ms", 1.0))
-        injector = RandomLossInjector(seed=seed, **options)
-        return injector.to_delays(n_commands, nominal_delay_ms=nominal)
-    if channel.kind == "trace":
-        return _trace_replay(options, n_commands, [seed])[0]
-    if channel.kind == "markov-interference":
-        markov = MarkovModulatedChannel(config=MarkovChannelConfig(**options), seed=seed)
-        return markov.sample_delays(n_commands)
-    if channel.kind == "handover":
-        handover = HandoverChannel(config=HandoverConfig(**options), seed=seed)
-        return handover.sample_delays(n_commands)
-    if channel.kind == "compound":
-        stages = options.get("stages", ())
-        if not stages:
-            raise ConfigurationError("compound channel has no stages")
-        total = np.zeros(n_commands)
-        for stage, stage_seed in zip(stages, _compound_stage_seeds(stages, seed)):
-            total = total + sample_channel_delays(
-                stage, n_commands, stage_seed, command_period_ms
-            )
-        return total
-    raise ConfigurationError(f"unknown channel kind {channel.kind!r}")
-
-
 def sample_channel_delays_batch(
     channel: ChannelSpec,
     n_commands: int,
@@ -285,15 +225,15 @@ def sample_channel_delays_batch(
 ) -> np.ndarray:
     """Sample ``B`` independent delay realisations as one ``(B, n)`` array.
 
-    Row ``b`` is bit-identical to
-    ``sample_channel_delays(channel, n_commands, seeds[b], command_period_ms)``
-    — each repetition consumes its own seed's RNG stream exactly as the
-    serial path does — but the heavy samplers (the 802.11 AP queue, the
-    Markov chains, the loss injectors) advance every repetition in lockstep
-    NumPy arrays and expensive derived state (the Bianchi DCF fixed point,
-    service distributions) is built once per batch instead of once per
-    repetition.  This is the entry point :class:`SessionEngine` routes
-    batched repetitions through.
+    Row ``b`` is the realisation seeded by ``seeds[b]``: each repetition
+    consumes its own seed's RNG stream exactly as the per-kind serial
+    samplers (``WirelessChannel.sample_trace``, ``GilbertElliottJammer.
+    sample_trace``, ...) would, bit for bit — but the heavy samplers (the
+    802.11 AP queue, the Markov chains, the loss injectors) advance every
+    repetition in lockstep NumPy arrays and expensive derived state (the
+    Bianchi DCF fixed point, service distributions) is built once per batch
+    instead of once per repetition.  This is the only channel sampler the
+    engines call; a single realisation is ``B = 1``.
     """
     seeds = [int(seed) for seed in seeds]
     if not seeds:
@@ -439,13 +379,6 @@ class SessionEngine:
         re-running the same spec (e.g. across sweep rounds) is free.  The
         forecaster and dataset caches are always on — they are pure
         functions of the spec.
-    batch:
-        Execute a spec's repetitions through the batched session kernel
-        (:class:`repro.core.BatchedRemoteControlSimulation`) whenever the
-        spec has more than one repetition and its forecaster supports
-        batched prediction.  The kernel is bit-identical to the serial
-        repetition loop; ``batch=False`` is the escape hatch that forces the
-        serial path (and is what the equality tests compare against).
     store:
         Optional persistent :class:`~repro.scenarios.store.ResultStore`.
         Lookups go memory cache → disk store → compute; computed results are
@@ -458,11 +391,9 @@ class SessionEngine:
     def __init__(
         self,
         cache_results: bool = True,
-        batch: bool = True,
         store: "ResultStore | None" = None,
     ) -> None:
         self.cache_results = bool(cache_results)
-        self.batch = bool(batch)
         self.store = store
         self._results: dict[str, SessionResult] = {}
         self._forecasters: dict[tuple, object] = {}
@@ -535,19 +466,13 @@ class SessionEngine:
         return ForecoRecovery(config=spec.foreco.to_config(), forecaster=self.session_forecaster(spec))
 
     # ------------------------------------------------------------- sessions
-    def run(self, spec: ScenarioSpec, batch: bool | None = None) -> SessionResult:
+    def run(self, spec: ScenarioSpec) -> SessionResult:
         """Run one scenario (all its repetitions) and return the result row.
 
-        Parameters
-        ----------
-        spec:
-            The scenario to execute.
-        batch:
-            Per-call override of the engine's :attr:`batch` setting:
-            ``False`` forces the serial repetition loop, ``True`` requests
-            the batched kernel (still subject to the forecaster supporting
-            it).  Both paths produce bit-identical results, so cached rows
-            are shared between them.
+        Every repetition's channel realisation is sampled in one
+        :func:`sample_channel_delays_batch` call and all of them execute in
+        one :meth:`simulate` pass — for one repetition or many, and for any
+        forecaster.
         """
         key = spec.spec_hash()
         if self.cache_results:
@@ -564,16 +489,8 @@ class SessionEngine:
                 return stored
 
         commands = self.test_commands(spec)
-        master = self.trained_forecaster(spec)  # ensure the master is fitted once
-        use_batch = self.batch if batch is None else bool(batch)
-        if (
-            use_batch
-            and spec.repetitions > 1
-            and getattr(master, "supports_batch_predict", False)
-        ):
-            outcomes, delays = self._run_batched(spec, commands)
-        else:
-            outcomes, delays = self._run_serial(spec, commands)
+        delays = self._sample_delays(spec, commands.shape[0])
+        outcomes = self.simulate(spec, commands, delays)
 
         result = SessionResult(
             spec=spec,
@@ -584,7 +501,7 @@ class SessionEngine:
             late_fraction=tuple(o.late_fraction for o in outcomes),
             recovery_fraction=tuple(o.recovery_fraction for o in outcomes),
             outcome=outcomes[-1],
-            delays_ms=delays,
+            delays_ms=delays[-1],
         )
         if self.cache_results:
             with self._results_lock:
@@ -593,21 +510,11 @@ class SessionEngine:
             self.store.put(spec, result)
         return result
 
-    def _sample_delays(self, spec: ScenarioSpec, n_commands: int, repetition: int) -> np.ndarray:
-        """One repetition's channel realisation (seeded from the spec)."""
-        return sample_channel_delays(
-            spec.channel,
-            n_commands,
-            seed=repetition_seed(spec, repetition),
-            command_period_ms=spec.foreco.command_period_ms,
-        )
-
-    def _sample_delays_batch(self, spec: ScenarioSpec, n_commands: int) -> np.ndarray:
+    def _sample_delays(self, spec: ScenarioSpec, n_commands: int) -> np.ndarray:
         """All repetitions' channel realisations as one ``(B, n)`` array.
 
-        Uses the same spec-derived per-repetition seeds as
-        :meth:`_sample_delays`, so the stacked realisations are bit-identical
-        to the serial loop's.
+        Repetition ``r`` is seeded by :func:`repetition_seed`, so a
+        realisation never depends on how many repetitions ran beside it.
         """
         seeds = [repetition_seed(spec, repetition) for repetition in range(spec.repetitions)]
         return sample_channel_delays_batch(
@@ -617,49 +524,21 @@ class SessionEngine:
             command_period_ms=spec.foreco.command_period_ms,
         )
 
-    def _run_serial(
-        self, spec: ScenarioSpec, commands: np.ndarray
-    ) -> tuple[list[SimulationOutcome], np.ndarray]:
-        """The reference path: one full simulation per repetition.
+    def simulate(
+        self, spec: ScenarioSpec, commands: np.ndarray, delays_ms: np.ndarray
+    ) -> list[SimulationOutcome]:
+        """Run the session kernel: one outcome per row of ``delays_ms``.
 
-        Kept verbatim as the equality oracle for the batched kernel (and as
-        the fallback for forecasters without batched prediction).
+        The one execution path of every session, fleet and service run.
+        ``commands`` is the ``(n, d)`` stream every row replays and
+        ``delays_ms`` the ``(B, n)`` per-row delays; ``spec`` supplies the
+        recovery configuration, the trained forecaster and the robot mode.
+        One private fitted forecaster serves the whole stack (see
+        :meth:`session_forecaster`), so the outcomes never depend on what
+        ran before.
         """
-        outcomes: list[SimulationOutcome] = []
-        delays: np.ndarray | None = None
-        for repetition in range(spec.repetitions):
-            recovery = ForecoRecovery(
-                config=spec.foreco.to_config(), forecaster=self.session_forecaster(spec)
-            )
-            simulation = RemoteControlSimulation(
-                recovery, use_pid=spec.use_pid, fallback=spec.fallback
-            )
-            delays = self._sample_delays(spec, commands.shape[0], repetition)
-            outcomes.append(simulation.run(commands, delays))
-        assert delays is not None  # repetitions >= 1 by spec validation
-        return outcomes, delays
-
-    def _run_batched(
-        self, spec: ScenarioSpec, commands: np.ndarray
-    ) -> tuple[list[SimulationOutcome], np.ndarray]:
-        """The batched kernel: all repetitions as one stacked computation.
-
-        Channel realisations come from the vectorized batch sampler with the
-        exact spec-derived per-repetition seeds, and one private fitted
-        forecaster serves the whole stack (the ``supports_batch_predict``
-        contract makes that equivalent to the serial path's per-repetition
-        deep copies), so the outcomes are bit-identical to
-        :meth:`_run_serial`.
-        """
-        delays_batch = self._sample_delays_batch(spec, commands.shape[0])
-        recovery = ForecoRecovery(
-            config=spec.foreco.to_config(), forecaster=self.session_forecaster(spec)
-        )
-        simulation = BatchedRemoteControlSimulation(
-            recovery, use_pid=spec.use_pid, fallback=spec.fallback
-        )
-        outcomes = simulation.run(commands, delays_batch)
-        return outcomes, delays_batch[-1]
+        simulation = BatchedRemoteControlSimulation(self.recovery(spec), use_pid=spec.use_pid)
+        return simulation.run(commands, delays_ms)
 
     def cached_result(self, spec: ScenarioSpec) -> SessionResult | None:
         """The cached result for this spec, if any."""

@@ -484,7 +484,12 @@ class ScenarioSpec:
     use_pid:
         Execute through the PID joint controller (Fig. 10 mode).
     fallback:
-        Baseline driver fallback policy (``"hold"`` or ``"stop"``).
+        Stock-stack driver fallback policy (``"hold"`` or ``"stop"``).  It
+        does **not** change simulated metrics: FoReCo injects a command in
+        every slot, and the baseline re-feeds the newest arrived command, so
+        the driver fallback is never reached — ``"hold"`` and ``"stop"``
+        give bit-identical results.  The field is kept because it is part
+        of the spec hash (existing store shards are keyed on it).
     """
 
     name: str = "custom"

@@ -254,7 +254,7 @@ class ServiceEngine:
         store: "ResultStore | None" = None,
     ) -> None:
         self.sessions = sessions if sessions is not None else SessionEngine()
-        # Reuse the fleet machinery (channel sampling, coupling, kernel) —
+        # Reuse the fleet machinery (AP coupling) —
         # caching stays at the service level, so the inner engine holds none.
         self._fleet = FleetEngine(sessions=self.sessions, cache_results=False)
         self.cache_results = bool(cache_results)
@@ -414,7 +414,7 @@ class ServiceEngine:
         # included — _couple reads each session's `ap`), then one batched
         # kernel pass and completion times.
         coupled, utilization = self._fleet._couple(fleet, plans, base, n_commands, period)
-        outcomes = self._fleet._simulate(template, commands, coupled)
+        outcomes = self.sessions.simulate(template, commands, coupled)
         completion = FleetEngine._completion_times(sessions_flat, coupled, n_commands, period)
 
         return ServiceResult(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CommandDataset, ForecoConfig, ForecoRecovery, RemoteControlSimulation
+from repro.core import BatchedRemoteControlSimulation, CommandDataset, ForecoConfig, ForecoRecovery
 from repro.forecasting import MovingAverageForecaster
 
 
@@ -84,7 +84,7 @@ def test_simulation_trajectories_have_consistent_lengths(
     delays = np.full(n, 1.0)
     end = min(n, burst_start + burst_length)
     delays[burst_start:end] = np.inf
-    outcome = RemoteControlSimulation(trained_recovery).run(commands, delays)
+    outcome = BatchedRemoteControlSimulation(trained_recovery).run(commands, delays)[0]
     assert len(outcome.defined) == len(outcome.baseline) == len(outcome.foreco) == n
     assert outcome.rmse_foreco_mm >= 0.0
     assert outcome.rmse_no_forecast_mm >= 0.0

@@ -8,8 +8,8 @@ import pytest
 from repro.core import (
     CommandDataset,
     ForecoConfig,
+    BatchedRemoteControlSimulation,
     ForecoRecovery,
-    RemoteControlSimulation,
     TrainingPipeline,
     compare_baseline_and_foreco,
 )
@@ -50,15 +50,20 @@ def test_pipeline_rejects_tiny_dataset():
 
 
 # ---------------------------------------------------------------- simulation
+def _run_session(recovery, commands, delays):
+    """One session through the session kernel (``B = 1``)."""
+    return BatchedRemoteControlSimulation(recovery).run(commands, delays)[0]
+
+
 def test_simulation_requires_trained_recovery():
     with pytest.raises(ConfigurationError):
-        RemoteControlSimulation(ForecoRecovery(ForecoConfig()))
+        BatchedRemoteControlSimulation(ForecoRecovery(ForecoConfig()))
 
 
 def test_simulation_perfect_channel_gives_zero_error(trained_recovery, inexperienced_stream):
     commands = inexperienced_stream.commands[:300]
     delays = np.full(300, 1.0)
-    outcome = RemoteControlSimulation(trained_recovery).run(commands, delays)
+    outcome = _run_session(trained_recovery, commands, delays)
     assert outcome.rmse_foreco_mm == pytest.approx(0.0, abs=1e-9)
     assert outcome.rmse_no_forecast_mm == pytest.approx(0.0, abs=1e-6)
     assert outcome.late_fraction == 0.0
@@ -68,7 +73,7 @@ def test_simulation_foreco_beats_baseline_under_bursty_loss(trained_recovery, in
     commands = inexperienced_stream.commands[:1200]
     injector = ConsecutiveLossInjector(burst_length=10, n_bursts=6, min_gap=80, seed=3)
     delays = injector.to_trace(1200).delays()
-    outcome = RemoteControlSimulation(trained_recovery).run(commands, delays)
+    outcome = _run_session(trained_recovery, commands, delays)
     assert outcome.rmse_foreco_mm < outcome.rmse_no_forecast_mm
     assert outcome.improvement_factor > 1.0
     assert outcome.late_fraction > 0.0
@@ -81,14 +86,14 @@ def test_simulation_foreco_beats_baseline_under_interference(trained_recovery, i
         n_robots=15, interference=InterferenceSource(0.025, 50), seed=9
     )
     trace = channel.sample_trace(1200)
-    outcome = RemoteControlSimulation(trained_recovery).run_trace(commands, trace)
+    outcome = _run_session(trained_recovery, commands, trace.delays())
     assert outcome.rmse_foreco_mm < outcome.rmse_no_forecast_mm
 
 
 def test_simulation_foreco_beats_baseline_under_jammer(trained_recovery, inexperienced_stream):
     commands = inexperienced_stream.commands[:1500]
     delays = GilbertElliottJammer(seed=4).sample_trace(1500).delays()
-    outcome = RemoteControlSimulation(trained_recovery).run(commands, delays)
+    outcome = _run_session(trained_recovery, commands, delays)
     assert outcome.rmse_foreco_mm < outcome.rmse_no_forecast_mm
 
 
@@ -98,7 +103,7 @@ def test_simulation_baseline_lags_behind_with_delayed_commands(trained_recovery,
     commands = inexperienced_stream.commands[:600]
     delays = np.full(600, 1.0)
     delays[200:215] = 400.0  # a 15-command stretch arrives 400 ms late
-    outcome = RemoteControlSimulation(trained_recovery).run(commands, delays)
+    outcome = _run_session(trained_recovery, commands, delays)
     assert outcome.rmse_no_forecast_mm > 0.3
     assert outcome.rmse_foreco_mm < outcome.rmse_no_forecast_mm
 
@@ -106,21 +111,22 @@ def test_simulation_baseline_lags_behind_with_delayed_commands(trained_recovery,
     # accrues baseline error even though nothing is lost.
     delays_lag = np.full(600, 1.0)
     delays_lag[300:350] = 45.0
-    lagged = RemoteControlSimulation(trained_recovery).run(commands, delays_lag)
+    lagged = _run_session(trained_recovery, commands, delays_lag)
     assert lagged.rmse_no_forecast_mm > 0.1
 
 
 def test_simulation_shape_validation(trained_recovery):
     with pytest.raises(DimensionError):
-        RemoteControlSimulation(trained_recovery).run(np.zeros((10, 6)), np.zeros(9))
+        _run_session(trained_recovery, np.zeros((10, 6)), np.zeros(9))
 
 
 def test_simulation_run_trace_length_check(trained_recovery, inexperienced_stream):
+    """A delay trace shorter than the command stream is rejected."""
     commands = inexperienced_stream.commands[:100]
     channel = WirelessChannel(n_robots=5, seed=1)
     short_trace = channel.sample_trace(50)
     with pytest.raises(DimensionError):
-        RemoteControlSimulation(trained_recovery).run_trace(commands, short_trace)
+        _run_session(trained_recovery, commands, short_trace.delays())
 
 
 def test_compare_helper_end_to_end(experienced_stream, inexperienced_stream):

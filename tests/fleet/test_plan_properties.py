@@ -22,7 +22,7 @@ import json
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import CapacityPlanner, PlanSpec, get_fleet
@@ -175,6 +175,12 @@ def test_tightening_the_slo_never_increases_planned_capacity(
     widen_high=st.integers(0, 5),
     slo_p99=_gates,
     slo_late=_gates,
+)
+# Regression: a subnormal p99 violation squared to zero and the Polyak
+# multiplier jump divided by it (ZeroDivisionError).
+@example(
+    knee=1, p99_slope=0.5, late_slope=0.0, bounds=[1, 1], widen_low=0, widen_high=2,
+    slo_p99=5e-324, slo_late=0.0,
 )
 def test_enlarging_bounds_never_worsens_the_objective(
     knee, p99_slope, late_slope, bounds, widen_low, widen_high, slo_p99, slo_late

@@ -147,3 +147,17 @@ def test_teleop_modules_are_tracked_and_new_ones_must_enter_the_manifest(tmp_pat
     new.write_text('"""New operator model."""\n\nGAIN = 2.0\n', encoding="utf-8")
     findings = epoch_findings(tmp_path, manifest_path)
     assert any(f.path.endswith("new_operator.py") and "not covered" in f.message for f in findings)
+
+
+def test_session_kernel_is_tracked_and_an_edit_is_a_finding(tmp_path):
+    """The recovery state machine and the simulation kernel feed every stored
+    result, so an executable edit to either fails the guard until the
+    manifest is regenerated."""
+    kernel = ("src/repro/core/recovery.py", "src/repro/core/simulation.py")
+    assert set(kernel) <= set(tracked_files(REPO_ROOT))
+    for rel in kernel:
+        manifest_path = copy_engine_tree(tmp_path / rel.replace("/", "_"))
+        module = manifest_path.parent / rel
+        module.write_text(module.read_text(encoding="utf-8") + "\nX_MUTATION = 1\n", encoding="utf-8")
+        findings = epoch_findings(manifest_path.parent, manifest_path)
+        assert [f for f in findings if f.path == rel and "without an ENGINE_EPOCH bump" in f.message]

@@ -1,8 +1,9 @@
 """Bit-equality and semantics tests for the vectorized channel subsystem.
 
-``sample_channel_delays`` (serial, one repetition per seed) is the oracle:
-for every channel kind, ``sample_channel_delays_batch`` must reproduce the
-stacked serial realisations exactly — not approximately.  The module also
+``tests.oracles.channels.sample_channel_delays`` (serial, one repetition
+per seed) is the oracle: for every channel kind,
+``sample_channel_delays_batch`` must reproduce the stacked serial
+realisations exactly — not approximately.  The module also
 pins down the compound-channel contract (delays add, losses union, stage
 order never changes the loss set) and the trace-replay phase cycling.
 """
@@ -25,12 +26,12 @@ from repro.scenarios import (
     markov_interference_channel,
     periodic_loss_channel,
     random_loss_channel,
-    sample_channel_delays,
     sample_channel_delays_batch,
     scenario_names,
     trace_channel,
     wireless_channel,
 )
+from tests.oracles.channels import sample_channel_delays
 
 N = 400
 SEEDS = [11, 7777, 2**31 - 3, 123456789]
@@ -75,15 +76,20 @@ def test_batch_sampler_rejects_empty_seed_list():
         sample_channel_delays_batch(clean_channel(), N, [])
 
 
+def _realisation(channel, n_commands: int, seed: int) -> np.ndarray:
+    """One channel realisation through the engines' sampler (``B = 1``)."""
+    return sample_channel_delays_batch(channel, n_commands, [seed])[0]
+
+
 # ------------------------------------------------------------------- compound
 def test_compound_delays_add_and_losses_union():
     lossy = periodic_loss_channel(period=50, burst_length=5, nominal_delay_ms=1.5)
     steady = clean_channel(nominal_delay_ms=3.0)
     compound = compound_channel(lossy, steady)
-    delays = sample_channel_delays(compound, N, seed=5)
+    delays = _realisation(compound, N, seed=5)
     # A lost stage propagates: the periodic stage's inf survives the sum.
     lost = ~np.isfinite(delays)
-    assert np.array_equal(lost, ~np.isfinite(sample_channel_delays(lossy, N, compound_stage_seed(5, lossy))))
+    assert np.array_equal(lost, ~np.isfinite(_realisation(lossy, N, compound_stage_seed(5, lossy))))
     assert lost.sum() == N // 50 * 5
     # Delivered commands carry the summed delay of every stage.
     assert np.allclose(delays[~lost], 4.5)
@@ -93,8 +99,8 @@ def test_compound_stage_order_does_not_change_the_loss_set():
     stage_a = jammer_channel()
     stage_b = markov_interference_channel()
     stage_c = random_loss_channel(loss_probability=0.1)
-    forward = sample_channel_delays(compound_channel(stage_a, stage_b, stage_c), N, seed=9)
-    reversed_ = sample_channel_delays(compound_channel(stage_c, stage_b, stage_a), N, seed=9)
+    forward = _realisation(compound_channel(stage_a, stage_b, stage_c), N, seed=9)
+    reversed_ = _realisation(compound_channel(stage_c, stage_b, stage_a), N, seed=9)
     # Per-stage seeds key on stage *content*, so permuting stages permutes
     # only the summation order: the loss set is identical and the delivered
     # delays agree up to float addition order.
@@ -106,9 +112,9 @@ def test_compound_stage_order_does_not_change_the_loss_set():
 def test_compound_duplicate_stages_get_distinct_seeds():
     stage = random_loss_channel(loss_probability=0.3)
     doubled = compound_channel(stage, stage)
-    delays = sample_channel_delays(doubled, N, seed=4)
-    single = sample_channel_delays(stage, N, compound_stage_seed(4, stage, occurrence=0))
-    other = sample_channel_delays(stage, N, compound_stage_seed(4, stage, occurrence=1))
+    delays = _realisation(doubled, N, seed=4)
+    single = _realisation(stage, N, compound_stage_seed(4, stage, occurrence=0))
+    other = _realisation(stage, N, compound_stage_seed(4, stage, occurrence=1))
     # The two occurrences draw decorrelated realisations, not the same one.
     assert not np.array_equal(np.isinf(single), np.isinf(other))
     assert np.array_equal(np.isinf(delays), np.isinf(single) | np.isinf(other))
@@ -129,8 +135,6 @@ def test_compound_stage_seeds_are_hash_decorrelated():
 
 def test_compound_rejects_empty_stages():
     with pytest.raises(ConfigurationError):
-        sample_channel_delays(ChannelSpec.make("compound", stages=()), N, seed=1)
-    with pytest.raises(ConfigurationError):
         sample_channel_delays_batch(ChannelSpec.make("compound", stages=()), N, [1])
 
 
@@ -144,7 +148,7 @@ def test_trace_channel_cycles_with_phase_offsets():
     # and different seeds land on different phases.
     starts = set()
     for seed in range(10):
-        delays = sample_channel_delays(channel, 12, seed=seed)
+        delays = _realisation(channel, 12, seed=seed)
         matches = [
             offset
             for offset in range(len(recording))
@@ -155,8 +159,8 @@ def test_trace_channel_cycles_with_phase_offsets():
     assert len(starts) > 1  # repetitions start at different phases
     # Fixed-phase replay is available for regression-style runs.
     fixed = trace_channel(recording, cycle_offsets=False)
-    assert np.array_equal(sample_channel_delays(fixed, 12, seed=1), cycled)
-    assert np.array_equal(sample_channel_delays(fixed, 12, seed=99), cycled)
+    assert np.array_equal(_realisation(fixed, 12, seed=1), cycled)
+    assert np.array_equal(_realisation(fixed, 12, seed=99), cycled)
 
 
 def test_trace_channel_validation():

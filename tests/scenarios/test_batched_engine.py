@@ -1,9 +1,10 @@
-"""Bit-equality tests for the batched session kernel.
+"""Bit-equality tests for the session kernel.
 
-The serial repetition loop (``batch=False``) is the oracle: for every named
-preset and every forecaster, routing :meth:`SessionEngine.run` through
-:class:`repro.core.BatchedRemoteControlSimulation` must reproduce its metric
-tuples exactly — not approximately."""
+The serial repetition loop in ``tests.oracles.session`` is the oracle: for
+every named preset (at one and at several repetitions), every forecaster and
+a stateful custom forecaster, :meth:`SessionEngine.run` — which executes
+every session through :class:`repro.core.BatchedRemoteControlSimulation` —
+must reproduce its metric tuples exactly, not approximately."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from repro.scenarios import (
     loss_burst_channel,
     scenario_names,
 )
+from tests.oracles.session import SerialSessionEngine
 
 #: Short but loss-rich runs keep the full preset × forecaster cross fast.
 RUN_SECONDS = 8.0
@@ -47,8 +49,8 @@ def _assert_bit_identical(serial: SessionResult, batched: SessionResult) -> None
 
 
 def _run_both(spec) -> tuple[SessionResult, SessionResult]:
-    serial = SessionEngine(cache_results=False).run(spec, batch=False)
-    batched = SessionEngine(cache_results=False).run(spec, batch=True)
+    serial = SerialSessionEngine(cache_results=False).run(spec)
+    batched = SessionEngine(cache_results=False).run(spec)
     return serial, batched
 
 
@@ -56,6 +58,13 @@ def _run_both(spec) -> tuple[SessionResult, SessionResult]:
 def test_batched_equals_serial_for_every_preset(name):
     """Every named preset (incl. the PID jammer and the compound channel)."""
     spec = get_scenario(name).with_(run_seconds=RUN_SECONDS, repetitions=REPETITIONS)
+    _assert_bit_identical(*_run_both(spec))
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_single_repetition_equals_serial_for_every_preset(name):
+    """``B = 1``: every single-session run goes through the kernel too."""
+    spec = get_scenario(name).with_(run_seconds=RUN_SECONDS, repetitions=1)
     _assert_bit_identical(*_run_both(spec))
 
 
@@ -72,7 +81,7 @@ def test_batched_equals_serial_for_every_forecaster(algorithm):
 
 
 def test_batched_respects_recovery_knobs():
-    """Tolerance, oracle feedback, unclamped steps and 'stop' fallback."""
+    """Tolerance, oracle feedback, unclamped steps, 'stop' fallback, R = 1."""
     base = get_scenario("bursty-loss").with_(run_seconds=RUN_SECONDS, repetitions=2)
     for spec in (
         base.with_foreco(tolerance_ms=40.0),
@@ -84,50 +93,89 @@ def test_batched_respects_recovery_knobs():
         _assert_bit_identical(*_run_both(spec))
 
 
+@pytest.mark.parametrize("name", ["jammer", "bursty-loss", "congested-ap"])
+@pytest.mark.parametrize("repetitions", [1, 3])
+def test_fallback_knob_does_not_change_results(name, repetitions):
+    """``fallback`` is inert: FoReCo always injects a command and the
+    baseline only executes arrived commands, so 'hold' == 'stop' bit for bit
+    (``jammer`` runs the PID controller)."""
+    base = get_scenario(name).with_(run_seconds=RUN_SECONDS, repetitions=repetitions)
+    engine = SessionEngine(cache_results=False)
+    hold = engine.run(base.with_(fallback="hold"))
+    stop = engine.run(base.with_(fallback="stop"))
+    assert hold.spec_hash != stop.spec_hash
+    _assert_bit_identical(hold, stop)
+
+
+class HoldLast(Forecaster):
+    """Stateless custom forecaster without batched prediction."""
+
+    name = "hold-last"
+
+    def _fit(self, commands):
+        return None
+
+    def _predict_next(self, history):
+        return history[-1]
+
+
+class Drifting(Forecaster):
+    """Stateful custom forecaster: each call adds a growing offset.
+
+    Its forecasts depend on how often *this instance* was called, so the
+    kernel matches the serial oracle only if every row predicts on its own
+    copy, fed only that row's missing slots.
+    """
+
+    name = "drifting"
+
+    def __init__(self, record: int = 5) -> None:
+        super().__init__(record=record)
+        self.calls = 0
+
+    def _fit(self, commands):
+        return None
+
+    def _predict_next(self, history):
+        self.calls += 1
+        return history[-1] + 1e-3 * self.calls
+
+
 def test_engine_serial_fallback_for_custom_forecaster():
-    """A registered forecaster without batch support still runs (serially)."""
-
-    class HoldLast(Forecaster):
-        name = "hold-last"
-
-        def _fit(self, commands):
-            return None
-
-        def _predict_next(self, history):
-            return history[-1]
-
-    try:
-        register_forecaster("hold-last", HoldLast)
-    except ConfigurationError:
-        pass  # already registered by an earlier parametrisation
-    spec = ScenarioSpec(
-        name="custom",
-        channel=loss_burst_channel(burst_length=10),
-        run_seconds=RUN_SECONDS,
-        repetitions=2,
-    ).with_foreco(algorithm="hold-last")
-    serial, batched = _run_both(spec)
-    # batch=True silently falls back to the serial path, so the results are
-    # trivially identical — the point is that nothing breaks.
-    _assert_bit_identical(serial, batched)
+    """Registered forecasters without batch support (stateless and stateful)
+    run through the kernel's per-row copies, bit-identical to the oracle."""
+    for name, cls in (("hold-last", HoldLast), ("drifting", Drifting)):
+        try:
+            register_forecaster(name, cls)
+        except ConfigurationError:
+            pass  # already registered earlier in this process
+        spec = ScenarioSpec(
+            name="custom",
+            channel=loss_burst_channel(burst_length=10),
+            run_seconds=RUN_SECONDS,
+            repetitions=REPETITIONS,
+        ).with_foreco(algorithm=name)
+        _assert_bit_identical(*_run_both(spec))
 
 
-def test_batched_simulation_rejects_unbatchable_forecaster():
-    class Unbatchable(Forecaster):
-        name = "unbatchable"
-
-        def _fit(self, commands):
-            return None
-
-        def _predict_next(self, history):
-            return history[-1]
-
+def test_stateful_custom_forecaster_rows_do_not_share_state():
+    """Direct kernel check: B = 3 equals three B = 1 runs, row for row."""
     config = ForecoConfig()
-    recovery = ForecoRecovery(config=config, forecaster=Unbatchable(record=config.record))
     rng = np.random.default_rng(0)
-    recovery.train(np.cumsum(rng.normal(size=(100, 6)), axis=0))
-    with pytest.raises(ConfigurationError):
-        BatchedRemoteControlSimulation(recovery)
+    train = np.cumsum(rng.normal(scale=0.02, size=(200, 6)), axis=0)
+    recovery = ForecoRecovery(config=config, forecaster=Drifting(record=config.record))
+    recovery.train(train)
+    commands = train[:120]
+    delays = np.ones((3, 120))
+    delays[0, 20:40] = np.inf
+    delays[1, 30:35] = np.inf
+    delays[2, 50:90] = np.inf
+    stacked = BatchedRemoteControlSimulation(recovery).run(commands, delays)
+    for row in range(3):
+        alone = BatchedRemoteControlSimulation(recovery).run(commands, delays[row])[0]
+        assert np.array_equal(stacked[row].foreco.joints, alone.foreco.joints)
+    # The master forecaster was never predicted on.
+    assert recovery.forecaster.calls == 0
 
 
 def test_batched_simulation_validates_shapes():

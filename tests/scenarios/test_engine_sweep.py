@@ -21,7 +21,7 @@ from repro.scenarios import (
     periodic_loss_channel,
     random_loss_channel,
     repetition_seed,
-    sample_channel_delays,
+    sample_channel_delays_batch,
     scenario_grid,
     wireless_channel,
 )
@@ -56,26 +56,31 @@ def test_dataset_cache_keyed_by_full_scale():
 
 
 # ---------------------------------------------------------------- channels
+def _realisation(channel, n_commands: int, seed: int) -> np.ndarray:
+    """One channel realisation through the engines' sampler (``B = 1``)."""
+    return sample_channel_delays_batch(channel, n_commands, [seed])[0]
+
+
 def test_sample_channel_delays_kinds():
     n = 400
-    clean = sample_channel_delays(clean_channel(nominal_delay_ms=2.5), n, seed=1)
+    clean = _realisation(clean_channel(nominal_delay_ms=2.5), n, seed=1)
     assert clean.shape == (n,)
     assert np.all(clean == 2.5)
 
-    bursts = sample_channel_delays(loss_burst_channel(burst_length=10, n_bursts=3), n, seed=1)
+    bursts = _realisation(loss_burst_channel(burst_length=10, n_bursts=3), n, seed=1)
     assert np.sum(~np.isfinite(bursts)) == 30
 
-    periodic = sample_channel_delays(periodic_loss_channel(period=100, burst_length=5), n, seed=1)
+    periodic = _realisation(periodic_loss_channel(period=100, burst_length=5), n, seed=1)
     assert np.sum(~np.isfinite(periodic)) == 20
 
-    random_loss = sample_channel_delays(random_loss_channel(loss_probability=0.5), n, seed=1)
+    random_loss = _realisation(random_loss_channel(loss_probability=0.5), n, seed=1)
     lost_share = np.mean(~np.isfinite(random_loss))
     assert 0.3 < lost_share < 0.7
 
-    jammed = sample_channel_delays(jammer_channel(), n, seed=1)
+    jammed = _realisation(jammer_channel(), n, seed=1)
     assert np.any(~np.isfinite(jammed))
 
-    wireless = sample_channel_delays(
+    wireless = _realisation(
         wireless_channel(n_robots=15, probability=0.05, duration_slots=100), n, seed=1
     )
     assert np.all(wireless[np.isfinite(wireless)] >= 0.0)
@@ -86,7 +91,7 @@ def test_compound_channel_superposes_stages():
     stage_a = loss_burst_channel(burst_length=10, n_bursts=2, nominal_delay_ms=1.0)
     stage_b = clean_channel(nominal_delay_ms=3.0)
     compound = compound_channel(stage_a, stage_b)
-    delays = sample_channel_delays(compound, n, seed=5)
+    delays = _realisation(compound, n, seed=5)
     finite = delays[np.isfinite(delays)]
     # Delays add up: surviving commands carry both stages' delay.
     assert np.allclose(finite, 4.0)

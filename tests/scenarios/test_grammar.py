@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenarios import Knob, ScenarioGrammar, ScenarioSpec, sample_channel_delays
+from repro.scenarios import Knob, ScenarioGrammar, ScenarioSpec, sample_channel_delays_batch
 from repro.scenarios.grammar import COMPOUND_STAGE_KINDS, GRAMMAR_KINDS
 
 #: Command count of the default grammar base (6 s at 50 Hz) — the run length
@@ -52,12 +52,12 @@ def test_every_candidate_is_a_frozen_named_spec(frontier):
 def test_every_frontier_candidate_is_runnable(frontier):
     """Feasibility invariant: no grammar candidate fails injector placement.
 
-    ``sample_channel_delays`` exercises the same loss-injector validation as
-    a full session run (burst placement, period/outage bounds) at a fraction
-    of the cost.
+    ``sample_channel_delays_batch`` is the sampler a full session run uses,
+    so it exercises the same loss-injector validation (burst placement,
+    period/outage bounds) at a fraction of the cost.
     """
     for spec in frontier:
-        delays = sample_channel_delays(spec.channel, BASE_COMMANDS, seed=1)
+        delays = sample_channel_delays_batch(spec.channel, BASE_COMMANDS, [1])[0]
         assert delays.shape == (BASE_COMMANDS,)
 
 
@@ -66,7 +66,7 @@ def test_mutated_neighbors_stay_feasible(grammar):
     for _ in range(150):
         spec = grammar.random_spec(rng)
         for neighbor in grammar.neighbors(spec, rng, count=3):
-            sample_channel_delays(neighbor.channel, BASE_COMMANDS, seed=2)
+            sample_channel_delays_batch(neighbor.channel, BASE_COMMANDS, [2])
 
 
 def test_neighbors_are_deterministic_given_rng(grammar, frontier):
