@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Diff a benchmark-trajectory JSON against the committed baseline.
 
-CI runs the benchmark suite with ``FORECO_BENCH_JSON=BENCH_6.json`` (see
+CI runs the benchmark suite with ``FORECO_BENCH_JSON=BENCH.json`` (see
 ``benchmarks/conftest.py``), uploads the file as an artifact, then runs::
 
-    python scripts/compare_bench.py BENCH_6.json benchmarks/baseline.json
+    python scripts/compare_bench.py BENCH.json benchmarks/baseline.json
 
 The comparison is **warn-only**: CI hardware is noisy and shared, so a wall
 time more than ``--threshold`` (default 20%) over baseline — or a speedup
@@ -100,7 +100,7 @@ def render_table(current: dict, baseline: dict) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("current", help="trajectory JSON from this run (BENCH_*.json)")
+    parser.add_argument("current", help="trajectory JSON from this run (e.g. BENCH.json)")
     parser.add_argument("baseline", help="committed baseline (benchmarks/baseline.json)")
     parser.add_argument(
         "--threshold", type=float, default=0.20,

@@ -253,9 +253,10 @@ class ForecoRecovery:
 
         This is the vectorized core of the batched session kernel: all ``B``
         repetitions share the command stream but experience different channel
-        delays, so their recovery state machines can advance slot by slot in
-        lockstep ``(B, ...)`` arrays — one Python iteration per slot instead
-        of one per slot *per repetition*.
+        delays.  A forecast depends on earlier forecasts only inside a loss
+        burst (plus the ``record`` slots after it), so the kernel never
+        visits on-time slots and runs one Python round per *dependency
+        level* of the loss bursts rather than one per slot.
 
         Parameters
         ----------
@@ -270,17 +271,38 @@ class ForecoRecovery:
         BatchedRecoveryResult
             Whose ``executed[b]`` is bit-identical to
             ``process_stream(commands, delays_ms[b])`` on a fresh recovery
-            engine around a fresh copy of the forecaster.
+            engine around a fresh copy of the forecaster.  An empty stream
+            gives ``(B, 0, d)`` arrays and all-zero stats.
 
         Notes
         -----
-        A forecaster that sets
-        :attr:`~repro.forecasting.Forecaster.supports_batch_predict`
-        forecasts every missing row in one ``predict_next_batch`` call.  Any
-        other forecaster (e.g. a registered custom class with predict-time
-        state) gets one deep copy per row, and each copy's ``predict_next``
-        sees only its own row's missing slots — the serial semantics of one
-        fresh forecaster per repetition.
+        The effective-command buffer ``eff`` holds the seed ``commands[0]``
+        at ``record - 1`` and slot ``s``'s feedback at ``record + s``, so the
+        history slot ``s`` forecasts from is ``eff[:, s : s + record]``.  It
+        is prefilled with ``commands``; only missing slots are rewritten:
+
+        * missing slots that cannot be forecast (before slot ``record - 1``,
+          or every one when the model is unfitted) repeat the previous
+          effective command, in slot order;
+        * the forecastable missing slots of a row split into *runs* wherever
+          two of them are more than ``record`` slots apart.  An entry's
+          window reaches back exactly ``record`` slots, so it depends only
+          on earlier entries of its own run, and always on the one just
+          before it: an entry's rank within its run is its dependency
+          level.  With oracle feedback no forecast is fed back and every
+          level is 0;
+        * each level is one round: one fancy-indexed gather of its windows,
+          one ``predict_next_batch`` call, the ``max_step_rad`` clamp
+          against each window's last command, one scatter.  Rows from
+          different slots may share a call because a forecaster that sets
+          :attr:`~repro.forecasting.Forecaster.supports_batch_predict`
+          computes every row independently of its batch-mates.
+
+        Any other forecaster (e.g. a registered custom class with
+        predict-time state) gets one deep copy per row and one run per
+        row, so each copy's ``predict_next`` sees only its own row's
+        missing slots, in slot order — the serial semantics of one fresh
+        forecaster per repetition.
 
         Unlike :meth:`process_stream` this method keeps no per-slot dataset
         and leaves the instance's serial state (``dataset``, ``stats``,
@@ -298,58 +320,71 @@ class ForecoRecovery:
         record = self.config.record
         max_step = self.config.max_step_rad
         oracle = self.config.feedback == "oracle"
-        model_ready = self.forecaster.is_fitted
-        row_forecasters = None
-        if not getattr(self.forecaster, "supports_batch_predict", False):
-            row_forecasters = [copy.deepcopy(self.forecaster) for _ in range(n_batch)]
+        batch_predict = getattr(self.forecaster, "supports_batch_predict", False)
 
         on_time = np.isfinite(delays_ms) & (delays_ms <= self.config.deadline_ms)
-        executed = np.empty((n_batch, n_slots, n_joints))
-        forecasted = np.zeros((n_batch, n_slots), dtype=bool)
+        missing = ~on_time
+        forecasted = missing & self.forecaster.is_fitted
+        forecasted[:, : record - 1] = False
 
-        # Rolling effective-command window per repetition, seeded with the
-        # first command exactly like the serial path; ``filled`` tracks the
-        # serial history length min(1 + slot, record), which gates forecasts.
-        history = np.zeros((n_batch, record, n_joints))
-        history[:, -1, :] = commands[0]
-        filled = 1
+        # Cells before the seed (record - 1) are never read.
+        eff = np.empty((n_batch, record + n_slots, n_joints))
+        eff[:, record:] = commands
+        if n_slots:
+            eff[:, record - 1] = commands[0]
+        # Forecast feedback writes every executed command back into the
+        # history; oracle feedback keeps the true commands there.
+        executed = eff[:, record:].copy() if oracle else eff[:, record:]
 
-        for slot in range(n_slots):
-            command = commands[slot]
-            missing = ~on_time[:, slot]
-            slot_executed = np.broadcast_to(command, (n_batch, n_joints)).copy()
-            if missing.any():
-                if model_ready and filled >= record:
-                    if row_forecasters is None:
-                        forecasts = self.forecaster.predict_next_batch(history[missing])
-                    else:
-                        forecasts = np.stack(
-                            [
-                                np.asarray(
-                                    row_forecasters[row].predict_next(np.array(history[row])),
-                                    dtype=float,
-                                ).ravel()
-                                for row in np.flatnonzero(missing)
-                            ]
-                        )
-                    if max_step is not None:
-                        previous = history[missing, -1, :]
-                        step = np.clip(forecasts - previous, -max_step, max_step)
-                        forecasts = previous + step
-                    slot_executed[missing] = forecasts
-                    forecasted[missing, slot] = True
-                else:
-                    # Not enough history yet: repeat the previous effective
-                    # command (the robot's native fallback behaviour).
-                    slot_executed[missing] = history[missing, -1, :]
-            executed[:, slot, :] = slot_executed
-            feedback = slot_executed
+        # Not enough history (or an unfitted model): repeat the previous
+        # effective command (the robot's native fallback behaviour).
+        fallback = missing & ~forecasted
+        for slot in np.flatnonzero(fallback.any(axis=0)):
+            held = fallback[:, slot]
+            executed[held, slot] = eff[held, record - 1 + slot]
+
+        rows, slots = np.nonzero(forecasted)
+        if rows.size:
+            new_run = np.ones(rows.size, dtype=bool)
+            if not batch_predict:
+                new_run[1:] = rows[1:] != rows[:-1]
+            elif not oracle:
+                new_run[1:] = (rows[1:] != rows[:-1]) | (slots[1:] - slots[:-1] > record)
+            starts = np.flatnonzero(new_run)
+            levels = np.arange(rows.size) - np.repeat(starts, np.diff(starts, append=rows.size))
+            row_forecasters = None
+            if not batch_predict:
+                row_forecasters = [copy.deepcopy(self.forecaster) for _ in range(n_batch)]
+            # Entries grouped by level (row-major within a level), with the
+            # flat eff indices of their windows and of the cell they fill.
+            order = np.argsort(levels, kind="stable")
+            rows, slots = rows[order], slots[order]
+            flat_eff = eff.reshape(-1, n_joints)
+            windows_at = (rows * (record + n_slots) + slots)[:, None] + np.arange(record)
             if oracle:
-                feedback = np.where(missing[:, None], command, slot_executed)
-            if record > 1:
-                history[:, :-1, :] = history[:, 1:, :]
-            history[:, -1, :] = feedback
-            filled = min(filled + 1, record)
+                target, targets_at = executed.reshape(-1, n_joints), rows * n_slots + slots
+            else:
+                target, targets_at = flat_eff, windows_at[:, -1] + 1
+            begin = 0
+            for end in np.cumsum(np.bincount(levels)).tolist():
+                windows = flat_eff[windows_at[begin:end]]
+                if row_forecasters is None:
+                    forecasts = self.forecaster.predict_next_batch(windows)
+                else:
+                    forecasts = np.stack(
+                        [
+                            np.asarray(
+                                row_forecasters[row].predict_next(np.array(window)), dtype=float
+                            ).ravel()
+                            for row, window in zip(rows[begin:end].tolist(), windows)
+                        ]
+                    )
+                if max_step is not None:
+                    previous = windows[:, -1, :]
+                    step = np.clip(forecasts - previous, -max_step, max_step)
+                    forecasts = previous + step
+                target[targets_at[begin:end]] = forecasts
+                begin = end
 
         stats = []
         for index in range(n_batch):

@@ -123,7 +123,7 @@ class BatchedRemoteControlSimulation:
     The paper's headline numbers are means over many repeated sessions that
     share one command stream but see independent channel realisations.  Those
     repetitions are embarrassingly stackable: this class advances all ``B``
-    delay traces, recovery state machines and robot trajectories in lockstep
+    delay traces, recovery state machines and robot trajectories as stacked
     ``(B, ...)`` arrays, then reduces to one :class:`SimulationOutcome` per
     repetition.  Every array operation involved is elementwise or uses a
     batch-size-invariant reduction, so each outcome is **bit-identical** to
@@ -191,7 +191,7 @@ class BatchedRemoteControlSimulation:
         n_batch, n_slots = delays_ms.shape
         period_ms = self.recovery.config.command_period_ms
 
-        # FoReCo pass: all recovery state machines advance in lockstep.
+        # FoReCo pass: one level-scheduled recovery kernel call for all rows.
         batch = self.recovery.process_stream_batch(commands, delays_ms)
 
         # Baseline pass: the stock stack's "most recently arrived command"

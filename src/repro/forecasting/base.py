@@ -91,10 +91,13 @@ class Forecaster(abc.ABC):
     #: :meth:`predict_next_batch` called on ONE shared instance returns, for
     #: every row, exactly (bit-for-bit) what :meth:`predict_next` would
     #: return on an independent, freshly deep-copied instance fed the same
-    #: history.  Stateless predictors satisfy this trivially; predictors with
-    #: mutable predict-time state must either vectorize that state per row or
-    #: leave the flag ``False``, in which case the session kernel gives every
-    #: row its own deep copy and calls :meth:`predict_next` row by row.
+    #: history — whatever the other rows of the call are.  The recovery
+    #: kernel relies on this to forecast rows of different repetitions *and
+    #: different slots* in one call.  Stateless predictors satisfy this
+    #: trivially; predictors with mutable predict-time state must either
+    #: vectorize that state per row or leave the flag ``False``, in which
+    #: case the session kernel gives every row its own deep copy and calls
+    #: :meth:`predict_next` on it in slot order.
     supports_batch_predict = False
 
     def __init__(self, record: int = 5) -> None:
@@ -158,8 +161,9 @@ class Forecaster(abc.ABC):
     def predict_next_batch(self, histories: np.ndarray) -> np.ndarray:
         """Forecast the next command for ``B`` independent histories at once.
 
-        This is the kernel the batched session engine drives: one call per
-        slot instead of one Python call per slot *per repetition*.
+        This is the kernel the batched session engine drives: the recovery
+        kernel makes one call per dependency level of its loss bursts, each
+        stacking the windows of every repetition and slot at that level.
 
         Parameters
         ----------
