@@ -3,8 +3,8 @@
 Every benchmark regenerates one of the paper's figures/tables through the
 same ``repro.experiments`` code path as the CLI runner, times it with
 pytest-benchmark, and prints the resulting table/series so the paper-vs-
-measured comparison can be read straight from the benchmark log (these are
-the numbers recorded in EXPERIMENTS.md).
+measured comparison can be read straight from the benchmark log (see
+docs/figures.md for the figure-by-figure walkthrough).
 
 Set ``FORECO_BENCH_SCALE=standard`` (or ``full``) to run the larger sweeps;
 the default ``ci`` scale keeps the whole suite in the minutes range.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 
-from repro.fleet import FleetEngine, HybridFleetEngine, get_fleet
+from repro.fleet import FleetEngine, get_fleet
 from repro.scenarios import SessionEngine
 
 from conftest import emit, record_metric
@@ -52,11 +52,10 @@ def test_bench_hybrid_city_scale(benchmark, bench_scale, bench_seed):
     sessions = SessionEngine()
     sessions.run(city.template)  # warm dataset/forecaster/solo caches
 
-    hybrid_engine = HybridFleetEngine(sessions=sessions, cache_results=False)
-    exact_engine = FleetEngine(sessions=sessions, cache_results=False)
+    fleets = FleetEngine(sessions=sessions, cache_results=False)  # runs both tiers
 
-    t_hybrid, hybrid = _best_of(lambda: hybrid_engine.run(city))
-    t_exact, exact = _best_of(lambda: exact_engine.run(exact_small))
+    t_hybrid, hybrid = _best_of(lambda: fleets.run(city))
+    t_exact, exact = _best_of(lambda: fleets.run(exact_small))
 
     assert hybrid.admitted + hybrid.dropped_sessions >= city.operators
     assert hybrid.tier == "hybrid"
@@ -68,7 +67,7 @@ def test_bench_hybrid_city_scale(benchmark, bench_scale, bench_seed):
     speedup = hybrid_rate / exact_rate
 
     def run():
-        return HybridFleetEngine(sessions=sessions, cache_results=False).run(city)
+        return FleetEngine(sessions=sessions, cache_results=False).run(city)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     record_metric(

@@ -70,6 +70,7 @@ True
 
 from __future__ import annotations
 
+from ._validation import ensure_int
 from .core import (
     CommandDataset,
     ForecoConfig,
@@ -206,7 +207,7 @@ def run_scenario(spec_or_preset, *, seed=None, store=None, jobs: int = 1):
     if not isinstance(spec, ScenarioSpec):
         raise ConfigurationError("run_scenario expects a ScenarioSpec or a preset name")
     if seed is not None:
-        spec = spec.with_(seed=int(seed))
+        spec = spec.with_(seed=ensure_int("seed", seed))
     executor = SweepExecutor(jobs=jobs, store=_as_store(store))
     return executor.run([spec])[0]
 
@@ -228,7 +229,7 @@ def run_fleet(spec_or_preset, *, seed=None, store=None, jobs: int = 1):
     if not isinstance(spec, FleetSpec):
         raise ConfigurationError("run_fleet expects a FleetSpec or a fleet preset name")
     if seed is not None:
-        spec = spec.with_template(seed=int(seed))
+        spec = spec.with_template(seed=ensure_int("seed", seed))
     executor = SweepExecutor(jobs=jobs, store=_as_store(store))
     return executor.run([spec])[0]
 

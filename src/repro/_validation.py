@@ -7,6 +7,7 @@ exception types (:mod:`repro.errors`) and consistent, descriptive messages.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,12 +46,36 @@ def ensure_probability(name: str, value: float) -> float:
 
 def ensure_int(name: str, value: int, minimum: int | None = None) -> int:
     """Return ``value`` as ``int`` after checking it is integral and bounded."""
-    if not float(value).is_integer():
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(value, (int, np.integer)):
+        try:
+            integral = float(value).is_integer()
+        except (TypeError, ValueError):
+            integral = False
+        if not integral:
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        value = float(value)
     value = int(value)
     if minimum is not None and value < minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def replace_fields(spec, **changes):
+    """``dataclasses.replace`` for spec builders, with typed unknown-field errors.
+
+    A field name the dataclass does not declare raises
+    :class:`~repro.errors.ConfigurationError` naming it, instead of the bare
+    ``TypeError`` :func:`dataclasses.replace` would raise.
+    """
+    known = {field.name for field in fields(spec) if field.init}
+    unknown = [name for name in changes if name not in known]
+    if unknown:
+        raise ConfigurationError(
+            f"{type(spec).__name__} has no field {', '.join(map(repr, unknown))}; "
+            f"fields: {', '.join(sorted(known))}"
+        )
+    return replace(spec, **changes)
+
 
 def as_command_array(name: str, commands: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     """Coerce ``commands`` into a 2-D ``float64`` array of shape ``(n, d)``.

@@ -10,7 +10,7 @@ real pipeline on the current host and reports the other platforms through
 times of 5.99 / 1.31 / 0.36 / 0.23 minutes respectively, i.e. roughly
 26x / 5.7x / 1.6x / 1.0x relative to the edge server).  This keeps the
 *relative ordering and ratios* of the paper while the absolute magnitude is
-host-dependent — EXPERIMENTS.md records both.
+host-dependent (docs/figures.md, "Table II", walks through both).
 """
 
 from __future__ import annotations

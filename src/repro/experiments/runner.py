@@ -16,7 +16,7 @@ Installed as the ``foreco-experiments`` console script::
 
 Each experiment prints the text rendering of its result (the same tables the
 benchmark harness produces) or, with ``--format json``, a JSON document, so
-the paper-vs-measured comparison recorded in EXPERIMENTS.md can be
+the paper-vs-measured comparison walked through in docs/figures.md can be
 regenerated with a single command.  ``--jobs`` fans sweep-style experiments
 out over worker threads through the scenario engine; results are identical
 to the serial run.  ``--scenario`` runs named presets from

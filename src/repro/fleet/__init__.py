@@ -9,13 +9,15 @@ serving heavy traffic actually sees.
   population, arrival process, AP topology/capacity, per-operator
   :class:`~repro.scenarios.ScenarioSpec` template) and the arrival-process
   samplers built on :mod:`repro.des.distributions`;
-* :mod:`repro.fleet.engine` — the :class:`FleetEngine`: admission control,
-  the shared per-AP Lindley backlog that couples co-scheduled sessions, and
-  one batched session-kernel pass over every admitted operator-session;
-  :class:`FleetResult` carries the service-level metrics (p50/p99 recovery,
-  completion-time distribution, AP utilisation, dropped sessions);
-* :mod:`repro.fleet.hybrid` — the :class:`HybridFleetEngine` city-scale
-  tier: Bianchi-classified hot APs run the exact path, the cold long tail
+* :mod:`repro.fleet.engine` — the :class:`FleetEngine` (both tiers):
+  admission control, the shared per-AP Lindley backlog that couples
+  co-scheduled sessions, and one batched session-kernel pass over every
+  admitted operator-session (:func:`~repro.fleet.engine.run_admitted`,
+  which the service layer shares); :class:`FleetResult` carries the
+  service-level metrics (p50/p99 recovery, completion-time distribution,
+  AP utilisation, dropped sessions);
+* :mod:`repro.fleet.hybrid` — the city-scale tier's classifier and cold-AP
+  model: Bianchi-classified hot APs run the exact path, the cold long tail
   is serviced by the analytic Gaussian/heavy-tail superposition model
   (:mod:`repro.wireless.superposition`) — deterministic and
   store-cacheable like everything else;
@@ -46,7 +48,7 @@ from ..scenarios.store import (
     register_store_codec,
 )
 from .engine import FleetEngine, FleetResult, operator_channel_spec
-from .hybrid import ApClassification, HybridFleetEngine, classify_aps, cold_draw_seed
+from .hybrid import ApClassification, classify_aps, cold_draw_seed
 from .objective import PlanProbe, admitted_estimate, assess_probe, quality_violations, select_probe
 from .plan import (
     METHOD_KIND_SUMMARIES,
@@ -60,7 +62,6 @@ from .plan import (
     plan_catalog,
     plan_names,
     register_plan,
-    run_plan,
 )
 from .registry import fleet_catalog, fleet_names, get_fleet, register_fleet
 from .spec import (
@@ -139,7 +140,6 @@ __all__ = [
     "FleetEngine",
     "FleetResult",
     "FleetSpec",
-    "HybridFleetEngine",
     "METHOD_KIND_SUMMARIES",
     "METHOD_KINDS",
     "PLAN_VERSION",
@@ -163,6 +163,5 @@ __all__ = [
     "quality_violations",
     "register_fleet",
     "register_plan",
-    "run_plan",
     "select_probe",
 ]

@@ -46,7 +46,6 @@ several times faster than running the sessions one by one.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -58,8 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from ..core.simulation import SimulationOutcome
 from ..errors import ConfigurationError
-from ..scenarios.engine import SessionEngine, repetition_seed, sample_channel_delays_batch
+from ..scenarios.engine import (
+    CachingEngine,
+    SessionEngine,
+    repetition_seed,
+    sample_channel_delays_batch,
+)
 from ..scenarios.spec import ScenarioSpec
+from .hybrid import ApClassification, classify_aps, cold_session_metrics
 from .spec import FleetSpec, _hash_seed, sample_arrival_times
 
 
@@ -332,9 +337,154 @@ def _lindley_backlog(work_ms: np.ndarray, period_ms: float) -> np.ndarray:
     return backlog_start
 
 
+def _couple(
+    fleet: FleetSpec,
+    plans: list[list[_Session]],
+    base: np.ndarray,
+    n_commands: int,
+    period: float,
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Add shared-AP queueing delay to the base realisations.
+
+    Returns the coupled ``(B, n)`` delay stack plus per-AP utilisation
+    (mean over repetitions of the per-slot air-time demand, capped at
+    1).  Lost commands stay lost; delivered commands gain
+    ``backlog[slot] + rank_in_slot * ap_service_ms`` milliseconds.
+    """
+    service = float(fleet.ap_service_ms)
+    coupled = base.copy()
+    utilization = np.zeros((len(plans), fleet.aps))
+    for repetition, admitted in enumerate(plans):
+        for ap in range(fleet.aps):
+            members = [session for session in admitted if session.ap == ap]
+            if not members:
+                continue
+            total_slots = max(session.offset_slots for session in members) + n_commands
+            active = np.zeros((len(members), total_slots), dtype=bool)
+            for row, session in enumerate(members):
+                offset = session.offset_slots
+                active[row, offset : offset + n_commands] = np.isfinite(base[session.flat])
+            work = service * active.sum(axis=0)
+            backlog = _lindley_backlog(work, period)
+            ranks = np.cumsum(active, axis=0) - active
+            for row, session in enumerate(members):
+                window = slice(session.offset_slots, session.offset_slots + n_commands)
+                extra = backlog[window] + ranks[row, window] * service
+                coupled[session.flat] = np.where(
+                    active[row, window], base[session.flat] + extra, np.inf
+                )
+            utilization[repetition, ap] = float(np.minimum(work / period, 1.0).mean())
+    return coupled, tuple(float(u) for u in utilization.mean(axis=0))
+
+
+def _completion_times(
+    sessions_flat: list[_Session],
+    coupled: np.ndarray,
+    n_commands: int,
+    period: float,
+) -> tuple[float, ...]:
+    """Per-session completion times in seconds, fleet start to last delivery.
+
+    A session's completion is the delivery time of its last delivered
+    command on the global clock (arrival offset included); a session
+    whose commands were all lost completes when its slot window ends.
+    """
+    slot_ms = np.arange(n_commands) * period
+    times = []
+    for session in sessions_flat:
+        delays = coupled[session.flat]
+        start_ms = session.offset_slots * period
+        delivered = np.isfinite(delays)
+        if delivered.any():
+            last_ms = float(np.max(slot_ms[delivered] + delays[delivered]))
+        else:
+            last_ms = n_commands * period
+        times.append((start_ms + last_ms) / 1000.0)
+    return tuple(times)
+
+
+# ------------------------------------------------------------------ executor
+@dataclass
+class AdmittedRun:
+    """Every admitted session of a fleet realisation, executed together.
+
+    ``sessions`` is in operator-major order and ``session.flat`` indexes
+    the rows of ``outcomes``, ``delays_ms`` and ``completion_time_s``.
+    """
+
+    sessions: list[_Session]
+    outcomes: list[SimulationOutcome]
+    delays_ms: np.ndarray
+    ap_utilization: tuple[float, ...]
+    completion_time_s: tuple[float, ...]
+
+    def session_metrics(self) -> dict[str, tuple[float, ...]]:
+        """Per-session metric tuples, keyed by the result-row field names."""
+        outcomes = self.outcomes
+        return {
+            "rmse_no_forecast_mm": tuple(o.rmse_no_forecast_mm for o in outcomes),
+            "rmse_foreco_mm": tuple(o.rmse_foreco_mm for o in outcomes),
+            "late_fraction": tuple(o.late_fraction for o in outcomes),
+            "recovery_fraction": tuple(o.recovery_fraction for o in outcomes),
+            "completion_time_s": self.completion_time_s,
+        }
+
+
+def run_admitted(
+    sessions: SessionEngine,
+    fleet: FleetSpec,
+    plans: list[list[_Session]],
+    commands: np.ndarray,
+) -> AdmittedRun:
+    """Execute the admitted sessions of ``plans`` (one list per repetition).
+
+    The one execution path of fleets (both tiers) and services: the
+    sessions are flattened operator-major (operator 0's repetitions first,
+    so a single-operator fleet's tuples align with
+    :class:`~repro.scenarios.SessionResult`'s); each session's base channel
+    realisation is the template channel sampled with the same per-repetition
+    seed a single-session run of its operator spec would use
+    (:func:`operator_channel_spec`); all of them are sampled in one batch,
+    coupled through the shared per-AP backlog (each session's ``ap`` field
+    decides its AP), and advance through one session-kernel pass.  Plans
+    that admitted nothing give an empty run with an all-idle utilisation
+    profile.
+    """
+    template = fleet.template
+    n_commands = int(commands.shape[0])
+    period = float(template.foreco.command_period_ms)
+    sessions_flat: list[_Session] = sorted(
+        (session for admitted in plans for session in admitted),
+        key=lambda session: (session.operator, session.repetition),
+    )
+    for flat, session in enumerate(sessions_flat):
+        session.flat = flat
+    operator_specs: dict[int, ScenarioSpec] = {}
+    seeds = []
+    for session in sessions_flat:
+        spec = operator_specs.get(session.operator)
+        if spec is None:
+            spec = operator_channel_spec(fleet, session.operator)
+            operator_specs[session.operator] = spec
+        seeds.append(repetition_seed(spec, session.repetition))
+    if seeds:
+        base = sample_channel_delays_batch(template.channel, n_commands, seeds, command_period_ms=period)
+    else:
+        base = np.zeros((0, n_commands))
+    coupled, utilization = _couple(fleet, plans, base, n_commands, period)
+    outcomes = sessions.simulate(template, commands, coupled) if seeds else []
+    completion = _completion_times(sessions_flat, coupled, n_commands, period)
+    return AdmittedRun(sessions_flat, outcomes, coupled, utilization, completion)
+
+
 # --------------------------------------------------------------------- engine
-class FleetEngine:
-    """Resolves fleet specs into coupled multi-session runs, with caching.
+class FleetEngine(CachingEngine):
+    """Resolves fleet specs (both tiers) into coupled multi-session runs, with caching.
+
+    ``tier="exact"`` specs run every admitted session through the shared-AP
+    coupling; ``tier="hybrid"`` specs run only the sessions of hot APs that
+    way and service cold APs analytically (see :mod:`repro.fleet.hybrid`).
+    The tier lives in the spec, so one engine serves mixed-tier sweeps.
 
     Parameters
     ----------
@@ -359,194 +509,77 @@ class FleetEngine:
         cache_results: bool = True,
         store: "ResultStore | None" = None,
     ) -> None:
+        super().__init__(cache_results, store)
         self.sessions = sessions if sessions is not None else SessionEngine()
-        self.cache_results = bool(cache_results)
-        self.store = store
-        self._results: dict[str, FleetResult] = {}
-        self._results_lock = threading.Lock()
 
     # ------------------------------------------------------------------- run
     def run(self, fleet: FleetSpec) -> FleetResult:
         """Run one fleet (all repetitions, all admitted operators)."""
-        key = fleet.spec_hash()
-        if self.cache_results:
-            with self._results_lock:
-                cached = self._results.get(key)
-            if cached is not None:
-                return cached
-        if self.store is not None:
-            stored = self.store.get(fleet)
-            if stored is not None:
-                if self.cache_results:
-                    with self._results_lock:
-                        stored = self._results.setdefault(key, stored)
-                return stored
+        return self._cached(fleet, self._compute)
 
-        result = self._compute(fleet)
-        if self.cache_results:
-            with self._results_lock:
-                result = self._results.setdefault(key, result)
-        if self.store is not None:
-            self.store.put(fleet, result)
-        return result
-
-    # --------------------------------------------------------------- compute
-    def _compute(self, fleet: FleetSpec) -> FleetResult:
-        """Plan, sample, couple and simulate one fleet from scratch.
-
-        The base engine handles the ``"exact"`` tier only; hybrid-tier
-        specs need the :class:`~repro.fleet.hybrid.HybridFleetEngine`
-        (which subclasses this engine and reuses the exact path for hot
-        APs).  The guard keeps tier selection explicit — an exact engine
-        silently approximating would break the content-address contract.
-        """
-        if fleet.tier != "exact":
-            raise ConfigurationError(
-                f"FleetEngine runs tier='exact' fleets only, got tier={fleet.tier!r}; "
-                "use repro.fleet.HybridFleetEngine (it handles both tiers)"
-            )
-        return self._compute_exact(fleet)
-
-    def _compute_exact(self, fleet: FleetSpec) -> FleetResult:
-        """The exact path: every admitted session through the Lindley backlog."""
-        template = fleet.template
-        commands = self.sessions.test_commands(template)
-        n_commands = int(commands.shape[0])
-        period = float(template.foreco.command_period_ms)
-
-        # 1. Admission plan per repetition (arrival process + AP capacity).
+    def _plans(self, fleet: FleetSpec, n_commands: int) -> tuple[list[list[_Session]], int]:
+        """Admission plans of every repetition, and the sessions they dropped."""
         plans: list[list[_Session]] = []
         dropped = 0
-        for repetition in range(template.repetitions):
+        for repetition in range(fleet.template.repetitions):
             admitted, dropped_here = _plan_repetition(fleet, repetition, n_commands)
             plans.append(admitted)
             dropped += dropped_here
+        return plans, dropped
 
-        # Flat batch order is operator-major: operator 0's repetitions first,
-        # so a single-operator fleet's tuples align with SessionResult's.
-        sessions_flat: list[_Session] = sorted(
-            (session for admitted in plans for session in admitted),
-            key=lambda session: (session.operator, session.repetition),
+    def classify(self, fleet: FleetSpec) -> tuple[ApClassification, ...]:
+        """Hot/cold verdicts the hybrid tier would use for this fleet."""
+        n_commands = int(self.sessions.test_commands(fleet.template).shape[0])
+        return classify_aps(fleet, self._plans(fleet, n_commands)[0], n_commands)
+
+    # --------------------------------------------------------------- compute
+    def _compute(self, fleet: FleetSpec) -> FleetResult:
+        """Plan admission, then execute the admitted sessions on the spec's tier."""
+        template = fleet.template
+        commands = self.sessions.test_commands(template)
+        n_commands = int(commands.shape[0])
+        plans, dropped = self._plans(fleet, n_commands)
+        hot = set(range(fleet.aps))
+        if fleet.tier == "hybrid":
+            hot = {verdict.ap for verdict in classify_aps(fleet, plans, n_commands) if verdict.hot}
+        exact = run_admitted(
+            self.sessions, fleet, [[s for s in plan if s.ap in hot] for plan in plans], commands
         )
-        for flat, session in enumerate(sessions_flat):
-            session.flat = flat
-
-        # 2. Base channel realisations: the template channel sampled with the
-        # same block-ordered per-repetition RNG streams a single-session run
-        # would use (operator 0 consumes the template's own seeds).
-        operator_specs: dict[int, ScenarioSpec] = {}
-        seeds = []
-        for session in sessions_flat:
-            spec = operator_specs.get(session.operator)
-            if spec is None:
-                spec = operator_channel_spec(fleet, session.operator)
-                operator_specs[session.operator] = spec
-            seeds.append(repetition_seed(spec, session.repetition))
-        base = sample_channel_delays_batch(
-            template.channel, n_commands, seeds, command_period_ms=period
-        )
-
-        # 3. Couple the sessions through their shared per-AP backlog.
-        coupled, utilization = self._couple(fleet, plans, base, n_commands, period)
-
-        # 4. One session-kernel pass over every admitted operator-session.
-        outcomes = self.sessions.simulate(template, commands, coupled)
-
-        completion = self._completion_times(sessions_flat, coupled, n_commands, period)
+        metrics = exact.session_metrics()
+        utilization = exact.ap_utilization
+        admitted = sum(len(plan) for plan in plans)
+        last = exact.sessions[-1] if exact.sessions else None
+        if len(exact.sessions) < admitted:
+            # Cold APs: analytic superposition, merged in operator-major order.
+            cold, cold_utilization = cold_session_metrics(self.sessions, fleet, plans, hot, n_commands)
+            everyone = sorted(
+                (session for plan in plans for session in plan),
+                key=lambda session: (session.operator, session.repetition),
+            )
+            metrics = {
+                name: tuple(
+                    values[s.flat] if s.ap in hot else cold[(s.operator, s.repetition)][name]
+                    for s in everyone
+                )
+                for name, values in metrics.items()
+            }
+            utilization = tuple(
+                u if ap in hot else float(cold_utilization[ap]) for ap, u in enumerate(utilization)
+            )
+            last = everyone[-1] if everyone[-1].ap in hot else None
         return FleetResult(
             spec=fleet,
             spec_hash=fleet.spec_hash(),
             n_commands=n_commands,
-            admitted=len(sessions_flat),
+            admitted=admitted,
             dropped_sessions=dropped,
-            rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in outcomes),
-            rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in outcomes),
-            late_fraction=tuple(o.late_fraction for o in outcomes),
-            recovery_fraction=tuple(o.recovery_fraction for o in outcomes),
-            completion_time_s=completion,
             ap_utilization=utilization,
             tier=fleet.tier,
-            hot_aps=fleet.aps,
-            cold_aps=0,
-            exact_sessions=len(sessions_flat),
-            analytic_sessions=0,
-            outcome=outcomes[-1],
-            delays_ms=coupled[-1],
+            hot_aps=len(hot),
+            cold_aps=fleet.aps - len(hot),
+            exact_sessions=len(exact.sessions),
+            analytic_sessions=admitted - len(exact.sessions),
+            outcome=None if last is None else exact.outcomes[last.flat],
+            delays_ms=None if last is None else exact.delays_ms[last.flat],
+            **metrics,
         )
-
-    def _couple(
-        self,
-        fleet: FleetSpec,
-        plans: list[list[_Session]],
-        base: np.ndarray,
-        n_commands: int,
-        period: float,
-    ) -> tuple[np.ndarray, tuple[float, ...]]:
-        """Add shared-AP queueing delay to the base realisations.
-
-        Returns the coupled ``(B, n)`` delay stack plus per-AP utilisation
-        (mean over repetitions of the per-slot air-time demand, capped at
-        1).  Lost commands stay lost; delivered commands gain
-        ``backlog[slot] + rank_in_slot * ap_service_ms`` milliseconds.
-        """
-        service = float(fleet.ap_service_ms)
-        coupled = base.copy()
-        utilization = np.zeros((len(plans), fleet.aps))
-        for repetition, admitted in enumerate(plans):
-            for ap in range(fleet.aps):
-                members = [session for session in admitted if session.ap == ap]
-                if not members:
-                    continue
-                total_slots = max(session.offset_slots for session in members) + n_commands
-                active = np.zeros((len(members), total_slots), dtype=bool)
-                for row, session in enumerate(members):
-                    offset = session.offset_slots
-                    active[row, offset : offset + n_commands] = np.isfinite(base[session.flat])
-                work = service * active.sum(axis=0)
-                backlog = _lindley_backlog(work, period)
-                ranks = np.cumsum(active, axis=0) - active
-                for row, session in enumerate(members):
-                    window = slice(session.offset_slots, session.offset_slots + n_commands)
-                    extra = backlog[window] + ranks[row, window] * service
-                    coupled[session.flat] = np.where(
-                        active[row, window], base[session.flat] + extra, np.inf
-                    )
-                utilization[repetition, ap] = float(np.minimum(work / period, 1.0).mean())
-        return coupled, tuple(float(u) for u in utilization.mean(axis=0))
-
-    @staticmethod
-    def _completion_times(
-        sessions_flat: list[_Session],
-        coupled: np.ndarray,
-        n_commands: int,
-        period: float,
-    ) -> tuple[float, ...]:
-        """Per-session completion times in seconds, fleet start to last delivery.
-
-        A session's completion is the delivery time of its last delivered
-        command on the global clock (arrival offset included); a session
-        whose commands were all lost completes when its slot window ends.
-        """
-        slot_ms = np.arange(n_commands) * period
-        times = []
-        for session in sessions_flat:
-            delays = coupled[session.flat]
-            start_ms = session.offset_slots * period
-            delivered = np.isfinite(delays)
-            if delivered.any():
-                last_ms = float(np.max(slot_ms[delivered] + delays[delivered]))
-            else:
-                last_ms = n_commands * period
-            times.append((start_ms + last_ms) / 1000.0)
-        return tuple(times)
-
-    # --------------------------------------------------------------- caching
-    def cached_result(self, fleet: FleetSpec) -> FleetResult | None:
-        """The cached result for this fleet, if any."""
-        with self._results_lock:
-            return self._results.get(fleet.spec_hash())
-
-    def clear(self) -> None:
-        """Drop the fleet-result cache (the session engine keeps its own)."""
-        with self._results_lock:
-            self._results.clear()

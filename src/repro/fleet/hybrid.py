@@ -2,8 +2,8 @@
 
 At city scale the overwhelming majority of access points are lightly
 loaded: simulating every one through the exact per-command Lindley backlog
-is wasted work.  This module adds a hierarchical tier above
-:class:`~repro.fleet.engine.FleetEngine` that
+is wasted work.  For ``tier="hybrid"`` specs,
+:class:`~repro.fleet.engine.FleetEngine`
 
 1. **classifies** every AP as *hot* or *cold* with the Bianchi-derived
    saturation score (:func:`repro.wireless.bianchi.saturation_score`)
@@ -11,18 +11,20 @@ is wasted work.  This module adds a hierarchical tier above
    ``m * ap_service_ms / command_period_ms`` — admission capacity bounds
    the concurrency, so the classifier sees the *admitted* load, not the
    offered one;
-2. runs hot APs through the **existing exact vectorized Lindley backlog**
-   in :mod:`repro.fleet.engine`, unchanged — because the exact coupling is
-   per-AP, the hot sessions' results are bit-identical to what a pure-exact
-   run would produce for them;
+2. runs hot APs through the **exact vectorized Lindley backlog**
+   (:func:`repro.fleet.engine.run_admitted`, the path every exact-tier
+   session takes) — because the exact coupling is per-AP, the hot
+   sessions' results are bit-identical to what a pure-exact run would
+   produce for them;
 3. services cold APs with the **analytic Gaussian/heavy-tail superposition
    delay model** (:class:`repro.wireless.superposition.SuperpositionModel`):
    per-session metrics bootstrap the template's own repetition statistics
    and shift them by an analytic extra-queueing-delay draw, sampled with a
    spec-derived block-ordered RNG so runs stay deterministic and
-   store-cacheable.
+   store-cacheable (:func:`cold_session_metrics`).
 
-This turns fleet cost from ``O(operators x commands)`` into
+This module holds the classifier and the cold-AP model; the engine does
+the dispatch.  This turns fleet cost from ``O(operators x commands)`` into
 ``O(hot-operators x commands + APs)`` — the single biggest lever for the
 "fleets of millions" north star.  The error-vs-exact gate and the
 crossover guidance live in ``docs/fleet.md`` ("City scale"); the
@@ -47,14 +49,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..scenarios.engine import repetition_seed, sample_channel_delays_batch
-from ..scenarios.spec import ScenarioSpec
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (the engine imports this module)
+    from .engine import _Session
+
+from ..scenarios.engine import SessionEngine, repetition_seed, sample_channel_delays_batch
 from ..wireless.bianchi import saturation_score
 from ..wireless.superposition import SuperpositionModel
-from .engine import FleetEngine, FleetResult, _plan_repetition, _Session, operator_channel_spec
 from .spec import FleetSpec, _hash_seed
 
 
@@ -157,214 +161,95 @@ def cold_draw_seed(fleet: FleetSpec, repetition: int) -> int:
     return _hash_seed(f"{identity}::cold::{int(repetition)}")
 
 
-# --------------------------------------------------------------------- engine
-class HybridFleetEngine(FleetEngine):
-    """Fleet engine with the hybrid exact/analytic city-scale tier.
+# ----------------------------------------------------------------- cold APs
+def cold_session_metrics(
+    sessions: SessionEngine,
+    fleet: FleetSpec,
+    plans: list[list[_Session]],
+    hot: set[int],
+    n_commands: int,
+) -> tuple[dict[tuple[int, int], dict[str, float]], np.ndarray]:
+    """Analytic metrics of every admitted session on a cold AP.
 
-    Runs ``tier="exact"`` specs exactly like the base
-    :class:`~repro.fleet.engine.FleetEngine` and routes ``tier="hybrid"``
-    specs through the classifier + exact-hot / analytic-cold pipeline (see
-    the module docstring).  Caching, store integration and the constructor
-    signature are inherited unchanged — the tier lives in the spec, so one
-    engine instance serves mixed-tier sweeps.
+    Per-session metrics bootstrap the template's own repetition statistics
+    (a solo :meth:`~repro.scenarios.SessionEngine.run`) and shift them by an
+    analytic extra-queueing-delay draw from each cold AP's
+    :class:`~repro.wireless.superposition.SuperpositionModel`.  Returns the
+    metrics keyed by ``(operator, repetition)`` (result-row field names:
+    the four session metrics plus ``completion_time_s``) and the per-AP
+    utilisation averaged over repetitions (0 for hot and empty APs).
     """
-
-    def _compute(self, fleet: FleetSpec) -> FleetResult:
-        if fleet.tier == "exact":
-            return self._compute_exact(fleet)
-        return self._compute_hybrid(fleet)
-
-    # -------------------------------------------------------------- classify
-    def classify(self, fleet: FleetSpec) -> tuple[ApClassification, ...]:
-        """Classification the hybrid tier would use for this fleet."""
-        commands = self.sessions.test_commands(fleet.template)
-        n_commands = int(commands.shape[0])
-        plans = [
-            _plan_repetition(fleet, repetition, n_commands)[0]
-            for repetition in range(fleet.template.repetitions)
-        ]
-        return classify_aps(fleet, plans, n_commands)
-
-    # ---------------------------------------------------------------- hybrid
-    def _compute_hybrid(self, fleet: FleetSpec) -> FleetResult:
-        """Classify, simulate hot APs exactly, service cold APs analytically."""
-        template = fleet.template
-        commands = self.sessions.test_commands(template)
-        n_commands = int(commands.shape[0])
-        period = float(template.foreco.command_period_ms)
-
-        plans: list[list[_Session]] = []
-        dropped = 0
-        for repetition in range(template.repetitions):
-            admitted, dropped_here = _plan_repetition(fleet, repetition, n_commands)
-            plans.append(admitted)
-            dropped += dropped_here
-
-        classifications = classify_aps(fleet, plans, n_commands)
-        hot_set = {c.ap for c in classifications if c.hot}
-        hot_count = len(hot_set)
-        cold_count = fleet.aps - hot_count
-        cold_session_count = sum(
-            1 for plan in plans for session in plan if session.ap not in hot_set
+    template = fleet.template
+    period = float(template.foreco.command_period_ms)
+    solo = sessions.run(template)
+    repetitions = template.repetitions
+    solo_base = sample_channel_delays_batch(
+        template.channel,
+        n_commands,
+        [repetition_seed(template, r) for r in range(repetitions)],
+        command_period_ms=period,
+    )
+    deadline = float(template.foreco.to_config().deadline_ms)
+    slot_ms = np.arange(n_commands) * period
+    delivered = np.isfinite(solo_base)
+    q_per_rep = delivered.mean(axis=1)
+    base_last_ms = np.empty(repetitions)
+    base_late = np.empty(repetitions)
+    for r in range(repetitions):
+        mask = delivered[r]
+        base_last_ms[r] = (
+            float(np.max(slot_ms[mask] + solo_base[r][mask]))
+            if mask.any()
+            else n_commands * period
         )
+        base_late[r] = float(1.0 - (mask & (solo_base[r] <= deadline)).mean())
 
-        if cold_session_count == 0:
-            # Every occupied AP is hot: the hybrid tier degenerates to the
-            # exact computation, bit for bit (only the tier metadata and the
-            # spec hash differ from the exact twin).
-            result = self._compute_exact(fleet)
-            result.hot_aps = hot_count
-            result.cold_aps = cold_count
-            return result
-
-        # ---- hot APs: the exact path, restricted to the hot sub-fleet ----
-        hot_plans = [[s for s in plan if s.ap in hot_set] for plan in plans]
-        hot_sessions: list[_Session] = sorted(
-            (session for plan in hot_plans for session in plan),
-            key=lambda session: (session.operator, session.repetition),
-        )
-        for flat, session in enumerate(hot_sessions):
-            session.flat = flat
-        if hot_sessions:
-            operator_specs: dict[int, ScenarioSpec] = {}
-            seeds = []
-            for session in hot_sessions:
-                spec = operator_specs.get(session.operator)
-                if spec is None:
-                    spec = operator_channel_spec(fleet, session.operator)
-                    operator_specs[session.operator] = spec
-                seeds.append(repetition_seed(spec, session.repetition))
-            base = sample_channel_delays_batch(
-                template.channel, n_commands, seeds, command_period_ms=period
+    cold_values: dict[tuple[int, int], dict[str, float]] = {}
+    cold_util = np.zeros((repetitions, fleet.aps))
+    for repetition, plan in enumerate(plans):
+        rng = np.random.default_rng(cold_draw_seed(fleet, repetition))
+        members_by_ap: dict[int, list[_Session]] = {}
+        for session in plan:
+            if session.ap not in hot:
+                members_by_ap.setdefault(session.ap, []).append(session)
+        for ap in sorted(members_by_ap):
+            members = members_by_ap[ap]
+            peak = _peak_overlap([s.offset_slots for s in members], n_commands)
+            q = float(q_per_rep[repetition])
+            model = SuperpositionModel(
+                sessions=max(peak, 1),
+                delivery_probability=q,
+                service_ms=float(fleet.ap_service_ms),
+                period_ms=period,
+                tail=fleet.cold_tail,
+                tail_index=float(fleet.cold_tail_index),
             )
-            coupled, utilization = self._couple(fleet, hot_plans, base, n_commands, period)
-            outcomes = self.sessions.simulate(template, commands, coupled)
-        else:
-            coupled = np.zeros((0, n_commands))
-            utilization = tuple(0.0 for _ in range(fleet.aps))
-            outcomes = []
-        hot_completion = self._completion_times(hot_sessions, coupled, n_commands, period)
-
-        # ---- cold APs: analytic superposition around the solo statistics ----
-        solo = self.sessions.run(template)
-        repetitions = template.repetitions
-        solo_base = sample_channel_delays_batch(
-            template.channel,
-            n_commands,
-            [repetition_seed(template, r) for r in range(repetitions)],
-            command_period_ms=period,
-        )
-        deadline = float(template.foreco.to_config().deadline_ms)
-        slot_ms = np.arange(n_commands) * period
-        delivered = np.isfinite(solo_base)
-        q_per_rep = delivered.mean(axis=1)
-        base_last_ms = np.empty(repetitions)
-        base_late = np.empty(repetitions)
-        for r in range(repetitions):
-            mask = delivered[r]
-            base_last_ms[r] = (
-                float(np.max(slot_ms[mask] + solo_base[r][mask]))
-                if mask.any()
-                else n_commands * period
+            extras = model.sample_extra_delays(rng, len(members))
+            boot = rng.integers(0, repetitions, size=len(members))
+            total_slots = max(s.offset_slots for s in members) + n_commands
+            concurrency = len(members) * n_commands / total_slots
+            cold_util[repetition, ap] = min(
+                1.0, concurrency * q * float(fleet.ap_service_ms) / period
             )
-            base_late[r] = float(1.0 - (mask & (solo_base[r] <= deadline)).mean())
-
-        cold_values: dict[tuple[int, int], tuple[float, float, float, float, float]] = {}
-        cold_util = np.zeros((repetitions, fleet.aps))
-        for repetition, plan in enumerate(plans):
-            rng = np.random.default_rng(cold_draw_seed(fleet, repetition))
-            members_by_ap: dict[int, list[_Session]] = {}
-            for session in plan:
-                if session.ap not in hot_set:
-                    members_by_ap.setdefault(session.ap, []).append(session)
-            for ap in sorted(members_by_ap):
-                members = members_by_ap[ap]
-                peak = _peak_overlap([s.offset_slots for s in members], n_commands)
-                q = float(q_per_rep[repetition])
-                model = SuperpositionModel(
-                    sessions=max(peak, 1),
-                    delivery_probability=q,
-                    service_ms=float(fleet.ap_service_ms),
-                    period_ms=period,
-                    tail=fleet.cold_tail,
-                    tail_index=float(fleet.cold_tail_index),
+            for session, extra, j in zip(members, extras, boot):
+                j = int(j)
+                extra = float(extra)
+                shift = float(
+                    (
+                        delivered[j]
+                        & (solo_base[j] <= deadline)
+                        & (solo_base[j] + extra > deadline)
+                    ).mean()
                 )
-                extras = model.sample_extra_delays(rng, len(members))
-                boot = rng.integers(0, repetitions, size=len(members))
-                total_slots = max(s.offset_slots for s in members) + n_commands
-                concurrency = len(members) * n_commands / total_slots
-                cold_util[repetition, ap] = min(
-                    1.0, concurrency * q * float(fleet.ap_service_ms) / period
-                )
-                for session, extra, j in zip(members, extras, boot):
-                    j = int(j)
-                    extra = float(extra)
-                    shift = float(
-                        (
-                            delivered[j]
-                            & (solo_base[j] <= deadline)
-                            & (solo_base[j] + extra > deadline)
-                        ).mean()
-                    )
-                    late = min(1.0, max(0.0, base_late[j] + shift))
-                    completion_s = (
-                        session.offset_slots * period + base_last_ms[j] + extra
-                    ) / 1000.0
-                    cold_values[(session.operator, session.repetition)] = (
-                        float(solo.rmse_no_forecast_mm[j]),
-                        float(solo.rmse_foreco_mm[j]),
-                        late,
-                        float(solo.recovery_fraction[j]),
-                        completion_s,
-                    )
-
-        # ---- merge hot and cold sessions in the canonical flat order ----
-        all_sessions: list[_Session] = sorted(
-            (session for plan in plans for session in plan),
-            key=lambda session: (session.operator, session.repetition),
-        )
-        rmse_nf, rmse_f, late_f, recovery, completion = [], [], [], [], []
-        for session in all_sessions:
-            if session.ap in hot_set:
-                outcome = outcomes[session.flat]
-                rmse_nf.append(outcome.rmse_no_forecast_mm)
-                rmse_f.append(outcome.rmse_foreco_mm)
-                late_f.append(outcome.late_fraction)
-                recovery.append(outcome.recovery_fraction)
-                completion.append(hot_completion[session.flat])
-            else:
-                values = cold_values[(session.operator, session.repetition)]
-                rmse_nf.append(values[0])
-                rmse_f.append(values[1])
-                late_f.append(values[2])
-                recovery.append(values[3])
-                completion.append(values[4])
-
-        merged_util = list(utilization)
-        cold_util_mean = cold_util.mean(axis=0)
-        for classification in classifications:
-            if not classification.hot:
-                merged_util[classification.ap] = float(cold_util_mean[classification.ap])
-
-        last = all_sessions[-1] if all_sessions else None
-        last_is_hot = last is not None and last.ap in hot_set
-        return FleetResult(
-            spec=fleet,
-            spec_hash=fleet.spec_hash(),
-            n_commands=n_commands,
-            admitted=len(all_sessions),
-            dropped_sessions=dropped,
-            rmse_no_forecast_mm=tuple(rmse_nf),
-            rmse_foreco_mm=tuple(rmse_f),
-            late_fraction=tuple(late_f),
-            recovery_fraction=tuple(recovery),
-            completion_time_s=tuple(completion),
-            ap_utilization=tuple(float(u) for u in merged_util),
-            tier="hybrid",
-            hot_aps=hot_count,
-            cold_aps=cold_count,
-            exact_sessions=len(hot_sessions),
-            analytic_sessions=cold_session_count,
-            outcome=outcomes[last.flat] if last_is_hot else None,
-            delays_ms=coupled[last.flat] if last_is_hot else None,
-        )
+                late = min(1.0, max(0.0, base_late[j] + shift))
+                completion_s = (
+                    session.offset_slots * period + base_last_ms[j] + extra
+                ) / 1000.0
+                cold_values[(session.operator, session.repetition)] = {
+                    "rmse_no_forecast_mm": float(solo.rmse_no_forecast_mm[j]),
+                    "rmse_foreco_mm": float(solo.rmse_foreco_mm[j]),
+                    "late_fraction": late,
+                    "recovery_fraction": float(solo.recovery_fraction[j]),
+                    "completion_time_s": completion_s,
+                }
+    return cold_values, cold_util.mean(axis=0)

@@ -70,9 +70,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
+from .._validation import replace_fields
 from ..errors import ConfigurationError, StoreError
 from ..scenarios.store import ResultStore, register_store_codec
 from ..scenarios.sweep import SweepExecutor
@@ -216,11 +217,11 @@ class PlanSpec:
     # --------------------------------------------------------------- builders
     def with_(self, **changes) -> "PlanSpec":
         """A copy with top-level plan fields replaced."""
-        return replace(self, **changes)
+        return replace_fields(self, **changes)
 
     def with_fleet(self, **changes) -> "PlanSpec":
         """A copy whose target fleet has top-level fields replaced."""
-        return replace(self, fleet=self.fleet.with_(**changes))
+        return replace_fields(self, fleet=self.fleet.with_(**changes))
 
     def probe_spec(self, capacity: int) -> FleetSpec:
         """The fleet spec one capacity probe evaluates.
@@ -728,22 +729,6 @@ class CapacityPlanner:
         if self.store is not None:
             self.store.put(spec, plan)
         return plan
-
-
-def run_plan(
-    spec: PlanSpec,
-    jobs: int = 1,
-    backend: str = "thread",
-    store: ResultStore | None = None,
-) -> CapacityPlan:
-    """One-call convenience wrapper: configure, run and return the plan.
-
-    This is what the runner's ``plan`` keyword and the CI smoke script
-    build on; see :class:`CapacityPlanner` for the determinism and
-    memoization contract.
-    """
-    planner = CapacityPlanner(jobs=jobs, backend=backend, store=store)
-    return planner.run(spec)
 
 
 # ----------------------------------------------------------------- registry

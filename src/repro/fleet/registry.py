@@ -26,6 +26,7 @@ Use :func:`register_fleet` to add project-specific presets.
 
 from __future__ import annotations
 
+from .._validation import ensure_int
 from ..errors import ConfigurationError
 from ..scenarios.registry import get_scenario
 from .spec import FleetSpec
@@ -68,7 +69,7 @@ def get_fleet(
             f"unknown fleet {name!r}; available: {fleet_names()}"
         ) from exc
     if operators is not None:
-        overrides["operators"] = int(operators)
+        overrides["operators"] = ensure_int("operators", operators)
     if overrides:
         spec = spec.with_(**overrides)
     template_overrides = {}

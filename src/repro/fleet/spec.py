@@ -28,10 +28,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._validation import replace_fields
 from ..des.distributions import Exponential, UniformDistribution
 from ..errors import ConfigurationError
 from ..scenarios.spec import ScenarioSpec
@@ -275,7 +276,7 @@ class FleetSpec:
     # --------------------------------------------------------------- builders
     def with_(self, **changes) -> "FleetSpec":
         """A copy with top-level fleet fields replaced."""
-        return replace(self, **changes)
+        return replace_fields(self, **changes)
 
     def with_template(self, **changes) -> "FleetSpec":
         """A copy whose template has top-level scenario fields replaced.
@@ -283,7 +284,7 @@ class FleetSpec:
         ``scale`` may be passed as a name, exactly as in
         :meth:`repro.scenarios.ScenarioSpec.with_`.
         """
-        return replace(self, template=self.template.with_(**changes))
+        return replace_fields(self, template=self.template.with_(**changes))
 
     def describe(self) -> str:
         """One-line summary used by reports and the CLI."""

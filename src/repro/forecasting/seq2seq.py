@@ -9,7 +9,7 @@ BPTT implementation is orders of magnitude slower than TensorFlow on a GPU.
 
 The paper finds that seq2seq *under-performs* MA and VAR on this task because
 its ~164k weights do not converge on the available dataset; the reproduction
-shows the same qualitative ordering (see Fig. 7 / EXPERIMENTS.md).
+shows the same qualitative ordering (see Fig. 7 in docs/figures.md).
 """
 
 from __future__ import annotations

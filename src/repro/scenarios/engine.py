@@ -368,8 +368,63 @@ class SessionResult:
         }
 
 
+# ---------------------------------------------------------------------- cache
+class CachingEngine:
+    """Memory -> store -> compute result lookup shared by every engine.
+
+    The session, fleet and service engines all cache finished results the
+    same way: an in-memory dict keyed by spec hash (``cache_results``), then
+    the optional persistent ``store``, and only then a fresh computation,
+    which is written back to both.  The lookup is lock-guarded, so sweep
+    worker threads can share one engine.
+
+    Subclasses define their own ``run`` (calling :meth:`_cached`) in their
+    own class body, so each engine's entry point stays a distinct callable.
+    """
+
+    def __init__(self, cache_results: bool = True, store: "ResultStore | None" = None) -> None:
+        self.cache_results = bool(cache_results)
+        self.store = store
+        self._results: dict[str, object] = {}
+        self._results_lock = threading.Lock()
+
+    def _cached(self, spec, compute):
+        """The result for ``spec``: from memory, else the store, else ``compute(spec)``."""
+        key = spec.spec_hash()
+        if self.cache_results:
+            with self._results_lock:
+                cached = self._results.get(key)
+            if cached is not None:
+                return cached
+        if self.store is not None:
+            stored = self.store.get(spec)
+            if stored is not None:
+                return self._keep(key, stored)
+        result = self._keep(key, compute(spec))
+        if self.store is not None:
+            self.store.put(spec, result)
+        return result
+
+    def _keep(self, key: str, result):
+        """Cache ``result`` unless another thread got there first (then return theirs)."""
+        if not self.cache_results:
+            return result
+        with self._results_lock:
+            return self._results.setdefault(key, result)
+
+    def cached_result(self, spec):
+        """The cached result for this spec, if any."""
+        with self._results_lock:
+            return self._results.get(spec.spec_hash())
+
+    def clear(self) -> None:
+        """Drop the in-memory result cache (datasets and forecasters are kept)."""
+        with self._results_lock:
+            self._results.clear()
+
+
 # --------------------------------------------------------------------- engine
-class SessionEngine:
+class SessionEngine(CachingEngine):
     """Resolves scenario specs into simulation runs, with caching.
 
     Parameters
@@ -393,11 +448,8 @@ class SessionEngine:
         cache_results: bool = True,
         store: "ResultStore | None" = None,
     ) -> None:
-        self.cache_results = bool(cache_results)
-        self.store = store
-        self._results: dict[str, SessionResult] = {}
+        super().__init__(cache_results, store)
         self._forecasters: dict[tuple, object] = {}
-        self._results_lock = threading.Lock()
         self._forecaster_lock = threading.Lock()
         self._training_locks: dict[tuple, threading.Lock] = {}
 
@@ -474,27 +526,15 @@ class SessionEngine:
         one :meth:`simulate` pass — for one repetition or many, and for any
         forecaster.
         """
-        key = spec.spec_hash()
-        if self.cache_results:
-            with self._results_lock:
-                cached = self._results.get(key)
-            if cached is not None:
-                return cached
-        if self.store is not None:
-            stored = self.store.get(spec)
-            if stored is not None:
-                if self.cache_results:
-                    with self._results_lock:
-                        stored = self._results.setdefault(key, stored)
-                return stored
+        return self._cached(spec, self._compute)
 
+    def _compute(self, spec: ScenarioSpec) -> SessionResult:
         commands = self.test_commands(spec)
         delays = self._sample_delays(spec, commands.shape[0])
         outcomes = self.simulate(spec, commands, delays)
-
-        result = SessionResult(
+        return SessionResult(
             spec=spec,
-            spec_hash=key,
+            spec_hash=spec.spec_hash(),
             n_commands=int(commands.shape[0]),
             rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in outcomes),
             rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in outcomes),
@@ -503,12 +543,6 @@ class SessionEngine:
             outcome=outcomes[-1],
             delays_ms=delays[-1],
         )
-        if self.cache_results:
-            with self._results_lock:
-                self._results.setdefault(key, result)
-        if self.store is not None:
-            self.store.put(spec, result)
-        return result
 
     def _sample_delays(self, spec: ScenarioSpec, n_commands: int) -> np.ndarray:
         """All repetitions' channel realisations as one ``(B, n)`` array.
@@ -539,13 +573,3 @@ class SessionEngine:
         """
         simulation = BatchedRemoteControlSimulation(self.recovery(spec), use_pid=spec.use_pid)
         return simulation.run(commands, delays_ms)
-
-    def cached_result(self, spec: ScenarioSpec) -> SessionResult | None:
-        """The cached result for this spec, if any."""
-        with self._results_lock:
-            return self._results.get(spec.spec_hash())
-
-    def clear(self) -> None:
-        """Drop the session-result cache (forecaster cache is kept)."""
-        with self._results_lock:
-            self._results.clear()

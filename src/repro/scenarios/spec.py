@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
+from .._validation import replace_fields
 from ..errors import ConfigurationError
 from ..core.config import ForecoConfig
 
@@ -568,19 +569,19 @@ class ScenarioSpec:
         """A copy with top-level fields replaced (``scale`` may be a name)."""
         if "scale" in changes:
             changes["scale"] = get_scale(changes["scale"])
-        return replace(self, **changes)
+        return replace_fields(self, **changes)
 
     def with_channel(self, **params) -> "ScenarioSpec":
         """A copy with channel parameters merged over the current ones."""
-        return replace(self, channel=self.channel.updated(**params))
+        return replace_fields(self, channel=self.channel.updated(**params))
 
     def with_foreco(self, **changes) -> "ScenarioSpec":
         """A copy with FoReCo fields replaced (options dicts are frozen)."""
         options = changes.pop("algorithm_options", None)
-        foreco = replace(self.foreco, **changes)
+        foreco = replace_fields(self.foreco, **changes)
         if options is not None:
-            foreco = replace(foreco, algorithm_options=freeze_params(dict(options)))
-        return replace(self, foreco=foreco)
+            foreco = replace_fields(foreco, algorithm_options=freeze_params(dict(options)))
+        return replace_fields(self, foreco=foreco)
 
     def describe(self) -> str:
         """One-line summary used by sweep tables and the CLI."""

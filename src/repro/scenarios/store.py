@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 import os
 import threading
@@ -77,6 +78,8 @@ import numpy as np
 from ..errors import ConfigurationError, StoreError
 from .engine import ENGINE_EPOCH, SessionResult
 from .spec import ScenarioSpec
+
+logger = logging.getLogger(__name__)
 
 #: Schema version of the shard records themselves (bump on layout changes).
 _RECORD_FORMAT = 1
@@ -317,7 +320,8 @@ class ResultStore:
         the *caller's* spec object (the shard's canonical spec is audit
         metadata, not the source of truth — the content address already
         guarantees they describe the same physics).  Corrupted shards count
-        as misses and are deleted.
+        as misses and are deleted (quarantined), with one warning on the
+        ``repro.scenarios.store`` logger naming the shard and the reason.
         """
         key = spec.spec_hash()
         path = self.shard_path(key)
@@ -329,8 +333,9 @@ class ResultStore:
             return None
         try:
             result = self._decode(spec, key, json.loads(text))
-        except (StoreError, ValueError, KeyError, TypeError):
+        except (StoreError, ValueError, KeyError, TypeError) as exc:
             path.unlink(missing_ok=True)
+            logger.warning("quarantined corrupted result shard %s: %s", path, exc)
             with self._lock:
                 self._corrupted += 1
                 self._misses += 1

@@ -2,12 +2,15 @@
 
 A sweep is an ordered list of :class:`ScenarioSpec` values — or
 :class:`~repro.fleet.FleetSpec` values, which route through a
-:class:`~repro.fleet.HybridFleetEngine` sharing the executor's session
-engine and store (capacity-planning sweeps resume and parallelise like any
-other; the hybrid engine runs both the exact and the hybrid fleet tier), or
+:class:`~repro.fleet.FleetEngine` sharing the executor's session engine and
+store (capacity-planning sweeps resume and parallelise like any other; the
+engine runs both the exact and the hybrid fleet tier), or
 :class:`~repro.service.ServiceSpec` values, which route through a
 :class:`~repro.service.ServiceEngine` the same way (live-service runs are
-spec-seeded too, so they stay bit-identical across worker counts).  The
+spec-seeded too, so they stay bit-identical across worker counts).  One
+router sends every row to its engine, in the calling thread and in process
+workers alike, and rejects any other row with a
+:class:`~repro.errors.ConfigurationError` before work starts.  The
 :class:`SweepExecutor` fans the list out over a thread pool (each session is
 NumPy-bound and self-contained, and the engine's caches are lock-guarded) or,
 with ``backend="process"``, over a process pool for true multi-core grids —
@@ -156,54 +159,79 @@ class SweepResult:
         return self.to_table()
 
 
-# ------------------------------------------------------------------- executor
-#: Per-process session engine for the ``"process"`` backend.  Created lazily
-#: in each worker on its first spec, so one worker amortises dataset and
-#: forecaster training across every spec it is handed.
-_WORKER_ENGINE: SessionEngine | None = None
+# --------------------------------------------------------------------- router
+def _engine_types(kind) -> tuple[type, type] | None:
+    """``(spec class, engine class)`` of a fleet or service row kind, else ``None``.
 
-#: Per-process fleet engine (wraps the worker's session engine; lazy like it).
-_WORKER_FLEET_ENGINE = None
+    The fleet and service packages are imported here, on the first row of
+    their kind, so a sweep of scenario specs never loads them.
+    """
+    if kind == "fleet":
+        from ..fleet import FleetEngine, FleetSpec  # deferred: fleet imports scenarios
 
-#: Per-process service engine (wraps the worker's session engine; lazy like it).
-_WORKER_SERVICE_ENGINE = None
+        return FleetSpec, FleetEngine
+    if kind == "service":
+        from ..service import ServiceEngine, ServiceSpec  # deferred: service imports scenarios
+
+        return ServiceSpec, ServiceEngine
+    return None
 
 
-def _run_spec_in_worker(task: tuple[ScenarioSpec, tuple | None]):
+class _SpecRouter:
+    """Sends each sweep row to the engine of its kind.
+
+    Scenario rows run on ``sessions``; fleet and service rows on engines
+    built on first use around the same session engine and store, so every
+    kind shares dataset, forecaster and store state.
+    """
+
+    def __init__(self, sessions: SessionEngine) -> None:
+        self.sessions = sessions
+        self._engines: dict[str, object] = {}
+
+    def engine_for(self, spec):
+        """The engine that runs ``spec``; any row that is not a spec is rejected."""
+        if isinstance(spec, ScenarioSpec):
+            return self.sessions
+        kind = getattr(spec, "store_kind", None)
+        types = _engine_types(kind)
+        if types is None or not isinstance(spec, types[0]):
+            raise ConfigurationError(
+                "a sweep runs ScenarioSpec, FleetSpec and ServiceSpec rows; "
+                f"got a row of type {type(spec).__name__!r}"
+            )
+        if kind not in self._engines:
+            self._engines[kind] = types[1](sessions=self.sessions, store=self.sessions.store)
+        return self._engines[kind]
+
+    def run(self, spec):
+        """Run one row on its engine."""
+        return self.engine_for(spec).run(spec)
+
+
+#: Per-process router for the ``"process"`` backend.  Created lazily in each
+#: worker on its first spec, so one worker amortises dataset and forecaster
+#: training across every spec it is handed.
+_WORKER_ROUTER: _SpecRouter | None = None
+
+
+def _run_in_worker(task: tuple):
     """Run one spec in a pool worker; ``task`` is ``(spec, store_config)``.
 
     ``store_config`` is ``(root, epoch, max_entries, max_bytes)`` or ``None``;
     each worker process opens its own :class:`ResultStore` handle on it, so
     results are persisted the moment a worker finishes them (per-key atomic
-    renames make the concurrent writers safe).  Fleet specs route through a
-    per-process :class:`~repro.fleet.HybridFleetEngine` sharing the worker's
-    session engine and store (it runs both fleet tiers; exact-tier specs
-    take the plain :class:`~repro.fleet.FleetEngine` path unchanged).
+    renames make the concurrent writers safe).
     """
-    global _WORKER_ENGINE, _WORKER_FLEET_ENGINE, _WORKER_SERVICE_ENGINE
+    global _WORKER_ROUTER
     spec, store_config = task
-    if _WORKER_ENGINE is None:
+    if _WORKER_ROUTER is None:
         store = ResultStore(*store_config) if store_config is not None else None
-        _WORKER_ENGINE = SessionEngine(store=store)
-    if isinstance(spec, ScenarioSpec):
-        return _WORKER_ENGINE.run(spec)
-    if getattr(spec, "store_kind", None) == "service":
-        if _WORKER_SERVICE_ENGINE is None:
-            from ..service import ServiceEngine  # deferred: service imports scenarios
-
-            _WORKER_SERVICE_ENGINE = ServiceEngine(
-                sessions=_WORKER_ENGINE, store=_WORKER_ENGINE.store
-            )
-        return _WORKER_SERVICE_ENGINE.run(spec)
-    if _WORKER_FLEET_ENGINE is None:
-        from ..fleet import HybridFleetEngine  # deferred: fleet imports scenarios
-
-        _WORKER_FLEET_ENGINE = HybridFleetEngine(
-            sessions=_WORKER_ENGINE, store=_WORKER_ENGINE.store
-        )
-    return _WORKER_FLEET_ENGINE.run(spec)
+        _WORKER_ROUTER = _SpecRouter(SessionEngine(store=store))
+    return _WORKER_ROUTER.run(spec)
 
 
+# ------------------------------------------------------------------- executor
 class SweepExecutor:
     """Runs a list of scenario specs, optionally over workers.
 
@@ -269,51 +297,13 @@ class SweepExecutor:
         self.engine = engine
         self.backend = backend
         self.store = store if store is not None else engine.store
-        self._fleet_engine = None  # lazy FleetEngine for FleetSpec rows
-        self._service_engine = None  # lazy ServiceEngine for ServiceSpec rows
+        self._router = _SpecRouter(engine)
 
     def _store_config(self) -> tuple | None:
         """Picklable store parameters for worker processes."""
         if self.store is None:
             return None
         return (str(self.store.root), self.store.epoch, self.store.max_entries, self.store.max_bytes)
-
-    def _ensure_fleet_engine(self):
-        """The lazily created :class:`~repro.fleet.HybridFleetEngine` for fleet rows.
-
-        Shares this executor's session engine (and therefore its dataset /
-        forecaster caches) and store — so capacity sweeps mix freely with
-        scenario sweeps.  The hybrid engine runs *both* fleet tiers:
-        exact-tier specs take the plain :class:`~repro.fleet.FleetEngine`
-        path unchanged, hybrid-tier specs route through the city-scale
-        classifier (see :mod:`repro.fleet.hybrid`).
-        """
-        if self._fleet_engine is None:
-            from ..fleet import HybridFleetEngine  # deferred: fleet imports scenarios
-
-            self._fleet_engine = HybridFleetEngine(sessions=self.engine, store=self.store)
-        return self._fleet_engine
-
-    def _ensure_service_engine(self):
-        """The lazily created :class:`~repro.service.ServiceEngine` for service rows.
-
-        Like the fleet engine, it shares this executor's session engine and
-        store, so live-service runs mix freely with scenario and fleet rows
-        in one resumable sweep.
-        """
-        if self._service_engine is None:
-            from ..service import ServiceEngine  # deferred: service imports scenarios
-
-            self._service_engine = ServiceEngine(sessions=self.engine, store=self.store)
-        return self._service_engine
-
-    def _run_one(self, spec):
-        """Run one spec through the right engine (session, fleet or service)."""
-        if isinstance(spec, ScenarioSpec):
-            return self.engine.run(spec)
-        if getattr(spec, "store_kind", None) == "service":
-            return self._ensure_service_engine().run(spec)
-        return self._ensure_fleet_engine().run(spec)
 
     def run(self, specs: Iterable[ScenarioSpec]) -> SweepResult:
         """Execute every spec and return results in input order.
@@ -324,6 +314,11 @@ class SweepExecutor:
         in-memory-only ``outcome`` field on hits).
         """
         specs = list(specs)
+        # Every row is checked (and its engine built) in the calling thread,
+        # before any lookup or fan-out: worker threads never race engine
+        # construction, and a malformed row fails before work starts.
+        for spec in specs:
+            self._router.engine_for(spec)
         if not specs:
             return SweepResult([])
         rows: list[SessionResult | None] = [None] * len(specs)
@@ -346,30 +341,19 @@ class SweepExecutor:
 
         if pending:
             pending_specs = [spec for _, spec in pending]
-            # Materialise the non-scenario engines before fanning out so
-            # worker threads never race their lazy construction.
-            kinds = {
-                getattr(spec, "store_kind", None)
-                for spec in pending_specs
-                if not isinstance(spec, ScenarioSpec)
-            }
-            if "service" in kinds:
-                self._ensure_service_engine()
-            if kinds - {"service"}:
-                self._ensure_fleet_engine()
             if self.jobs == 1 or len(pending_specs) == 1:
-                computed = [self._run_one(spec) for spec in pending_specs]
+                computed = [self._router.run(spec) for spec in pending_specs]
             elif self.backend == "process":
                 store_config = self._store_config()
                 tasks = [(spec, store_config) for spec in pending_specs]
                 with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    computed = list(pool.map(_run_spec_in_worker, tasks))
+                    computed = list(pool.map(_run_in_worker, tasks))
             else:
                 # The engine trains distinct forecaster identities in parallel and
                 # serialises same-identity requests on a per-key lock, so workers
                 # can start immediately.
                 with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                    computed = list(pool.map(self._run_one, pending_specs))
+                    computed = list(pool.map(self._router.run, pending_specs))
             for (index, _), row in zip(pending, computed):
                 rows[index] = row
         return SweepResult(rows, store_hits=hits, store_misses=misses)

@@ -35,7 +35,6 @@ admitted/dropped/completed events the DES pass produced, sampled every
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -45,10 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..scenarios.store import ResultStore
 
 from ..des.engine import Event, Simulator
-from ..fleet.engine import FleetEngine, _Session, operator_channel_spec
+from ..fleet.engine import _Session, run_admitted
 from ..fleet.spec import sample_arrival_times
-from ..scenarios.engine import SessionEngine, repetition_seed, sample_channel_delays_batch
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios.engine import CachingEngine, SessionEngine
 from .policies import AdmissionPolicy, ServiceState, make_policy
 from .spec import ServiceSpec
 
@@ -230,7 +228,7 @@ class _AdmissionLog:
 
 
 # --------------------------------------------------------------------- engine
-class ServiceEngine:
+class ServiceEngine(CachingEngine):
     """Resolves service specs into live admission runs, with caching.
 
     Parameters
@@ -253,39 +251,13 @@ class ServiceEngine:
         cache_results: bool = True,
         store: "ResultStore | None" = None,
     ) -> None:
+        super().__init__(cache_results, store)
         self.sessions = sessions if sessions is not None else SessionEngine()
-        # Reuse the fleet machinery (AP coupling) —
-        # caching stays at the service level, so the inner engine holds none.
-        self._fleet = FleetEngine(sessions=self.sessions, cache_results=False)
-        self.cache_results = bool(cache_results)
-        self.store = store
-        self._results: dict[str, ServiceResult] = {}
-        self._results_lock = threading.Lock()
 
     # ------------------------------------------------------------------- run
     def run(self, spec: ServiceSpec) -> ServiceResult:
         """Run one service (all repetitions) through its admission policy."""
-        key = spec.spec_hash()
-        if self.cache_results:
-            with self._results_lock:
-                cached = self._results.get(key)
-            if cached is not None:
-                return cached
-        if self.store is not None:
-            stored = self.store.get(spec)
-            if stored is not None:
-                if self.cache_results:
-                    with self._results_lock:
-                        stored = self._results.setdefault(key, stored)
-                return stored
-
-        result = self._compute(spec)
-        if self.cache_results:
-            with self._results_lock:
-                result = self._results.setdefault(key, result)
-        if self.store is not None:
-            self.store.put(spec, result)
-        return result
+        return self._cached(spec, self._compute)
 
     # ----------------------------------------------------- admission (online)
     def _serve_repetition(
@@ -347,7 +319,6 @@ class ServiceEngine:
         template = fleet.template
         commands = self.sessions.test_commands(template)
         n_commands = int(commands.shape[0])
-        period = float(template.foreco.command_period_ms)
         policy = make_policy(spec)
 
         # 1. Online admission, one DES pass per repetition.
@@ -367,81 +338,30 @@ class ServiceEngine:
             dropped_offsets.extend(log.dropped_offsets)
             migrated_offsets.extend(log.migrated_offsets)
 
-        sessions_flat: list[_Session] = sorted(
-            (session for admitted in plans for session in admitted),
-            key=lambda session: (session.operator, session.repetition),
-        )
-        for flat, session in enumerate(sessions_flat):
-            session.flat = flat
-
-        if not sessions_flat:
-            # A policy (or a tiny horizon) may admit nothing; the result is
-            # still well-formed, with empty metric tuples and an all-idle
-            # utilisation profile.
-            return ServiceResult(
-                spec=spec,
-                spec_hash=spec.spec_hash(),
-                n_commands=n_commands,
-                admitted=0,
-                dropped_sessions=dropped,
-                migrated_sessions=migrated,
-                rmse_no_forecast_mm=(),
-                rmse_foreco_mm=(),
-                late_fraction=(),
-                recovery_fraction=(),
-                completion_time_s=(),
-                ap_utilization=tuple(0.0 for _ in range(fleet.aps)),
-                snapshots=self._snapshots(
-                    spec, n_commands, [], (), admitted_offsets, dropped_offsets, migrated_offsets
-                ),
-            )
-
-        # 2. Base channel realisations — identical to the fleet engine's, so
-        # a static-cap service is bit-comparable to its fleet counterpart.
-        operator_specs: dict[int, ScenarioSpec] = {}
-        seeds = []
-        for session in sessions_flat:
-            op_spec = operator_specs.get(session.operator)
-            if op_spec is None:
-                op_spec = operator_channel_spec(fleet, session.operator)
-                operator_specs[session.operator] = op_spec
-            seeds.append(repetition_seed(op_spec, session.repetition))
-        base = sample_channel_delays_batch(
-            template.channel, n_commands, seeds, command_period_ms=period
-        )
-
-        # 3. Couple through the shared per-AP backlog (migrated assignments
-        # included — _couple reads each session's `ap`), then one batched
-        # kernel pass and completion times.
-        coupled, utilization = self._fleet._couple(fleet, plans, base, n_commands, period)
-        outcomes = self.sessions.simulate(template, commands, coupled)
-        completion = FleetEngine._completion_times(sessions_flat, coupled, n_commands, period)
-
+        # 2. Execute the admitted sessions exactly as the fleet engine does
+        # (migrated assignments included — the coupling reads each
+        # session's `ap`), so a static-cap service is bit-comparable to its
+        # fleet counterpart.
+        batch = run_admitted(self.sessions, fleet, plans, commands)
+        metrics = batch.session_metrics()
         return ServiceResult(
             spec=spec,
             spec_hash=spec.spec_hash(),
             n_commands=n_commands,
-            admitted=len(sessions_flat),
+            admitted=len(batch.sessions),
             dropped_sessions=dropped,
             migrated_sessions=migrated,
-            rmse_no_forecast_mm=tuple(o.rmse_no_forecast_mm for o in outcomes),
-            rmse_foreco_mm=tuple(o.rmse_foreco_mm for o in outcomes),
-            late_fraction=tuple(o.late_fraction for o in outcomes),
-            recovery_fraction=tuple(o.recovery_fraction for o in outcomes),
-            completion_time_s=completion,
-            ap_utilization=utilization,
+            ap_utilization=batch.ap_utilization,
             snapshots=self._snapshots(
                 spec,
                 n_commands,
-                sessions_flat,
-                tuple(
-                    (completion[i], outcomes[i].recovery_fraction)
-                    for i in range(len(sessions_flat))
-                ),
+                batch.sessions,
+                tuple(zip(metrics["completion_time_s"], metrics["recovery_fraction"])),
                 admitted_offsets,
                 dropped_offsets,
                 migrated_offsets,
             ),
+            **metrics,
         )
 
     # -------------------------------------------------------------- snapshots
@@ -532,14 +452,3 @@ class ServiceEngine:
                 )
             )
         return tuple(snapshots)
-
-    # --------------------------------------------------------------- caching
-    def cached_result(self, spec: ServiceSpec) -> ServiceResult | None:
-        """The cached result for this service, if any."""
-        with self._results_lock:
-            return self._results.get(spec.spec_hash())
-
-    def clear(self) -> None:
-        """Drop the service-result cache (the session engine keeps its own)."""
-        with self._results_lock:
-            self._results.clear()

@@ -11,6 +11,7 @@ fleet experiments pin.
 
 from __future__ import annotations
 
+from .._validation import ensure_int
 from ..errors import ConfigurationError
 from ..fleet.registry import get_fleet
 from .spec import ServiceSpec
@@ -60,7 +61,7 @@ def get_service(
     if scale is not None:
         template_overrides["scale"] = scale
     if seed is not None:
-        template_overrides["seed"] = int(seed)
+        template_overrides["seed"] = ensure_int("seed", seed)
     if template_overrides:
         spec = spec.with_template(**template_overrides)
     return spec

@@ -31,8 +31,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
+from .._validation import replace_fields
 from ..errors import ConfigurationError
 from ..fleet.spec import FleetSpec, _coerce_float, _coerce_int
 
@@ -210,11 +211,11 @@ class ServiceSpec:
     # --------------------------------------------------------------- builders
     def with_(self, **changes) -> "ServiceSpec":
         """A copy with top-level service fields replaced."""
-        return replace(self, **changes)
+        return replace_fields(self, **changes)
 
     def with_fleet(self, **changes) -> "ServiceSpec":
         """A copy whose fleet has top-level fleet fields replaced."""
-        return replace(self, fleet=self.fleet.with_(**changes))
+        return replace_fields(self, fleet=self.fleet.with_(**changes))
 
     def with_template(self, **changes) -> "ServiceSpec":
         """A copy whose fleet template has scenario fields replaced.
@@ -222,7 +223,7 @@ class ServiceSpec:
         ``scale`` may be passed as a name, exactly as in
         :meth:`repro.scenarios.ScenarioSpec.with_`.
         """
-        return replace(self, fleet=self.fleet.with_template(**changes))
+        return replace_fields(self, fleet=self.fleet.with_template(**changes))
 
     def describe(self) -> str:
         """One-line summary used by reports and the CLI."""

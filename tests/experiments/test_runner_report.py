@@ -1,6 +1,6 @@
 """Runner report schema: pinned keys for the JSON document and text sections.
 
-The JSON report is a machine-readable contract (EXPERIMENTS.md consumers,
+The JSON report is a machine-readable contract (docs/figures.md readers,
 CI comparisons); this module pins its shape — the top-level
 ``report_version`` field, the per-section keys — so a restructuring shows
 up as a failing test and a deliberate ``REPORT_VERSION`` bump, never as a

@@ -21,12 +21,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiments
 from repro.fleet import (
     FleetEngine,
     FleetSpec,
-    HybridFleetEngine,
     classify_aps,
     cold_draw_seed,
     get_fleet,
@@ -44,9 +42,9 @@ LATE_TOL = 0.05  # mean late fraction, absolute
 
 @pytest.fixture(scope="module")
 def engines():
-    """One shared SessionEngine + HybridFleetEngine pair for the module."""
+    """One shared SessionEngine + FleetEngine pair for the module."""
     sessions = SessionEngine()
-    return sessions, HybridFleetEngine(sessions=sessions)
+    return sessions, FleetEngine(sessions=sessions)
 
 
 def _crossover_fleet() -> FleetSpec:
@@ -113,7 +111,7 @@ class TestDegeneracy:
         """Every AP hot => the hybrid tier IS the exact computation."""
         sessions, _ = engines
         base = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
-        hybrid = HybridFleetEngine(sessions=sessions, cache_results=False).run(
+        hybrid = FleetEngine(sessions=sessions, cache_results=False).run(
             base.with_(tier="hybrid", hot_threshold=1e-9)
         )
         exact = FleetEngine(sessions=sessions, cache_results=False).run(base)
@@ -132,16 +130,19 @@ class TestDegeneracy:
     def test_exact_tier_spec_takes_the_plain_path(self, engines):
         sessions, _ = engines
         base = get_fleet("shared-ap").with_template(run_seconds=RUN_SECONDS)
-        via_hybrid = HybridFleetEngine(sessions=sessions, cache_results=False).run(base)
-        via_plain = FleetEngine(sessions=sessions, cache_results=False).run(base)
-        assert via_hybrid.to_dict() == via_plain.to_dict()
-        assert via_hybrid.tier == "exact"
+        exact = FleetEngine(sessions=sessions, cache_results=False).run(base)
+        assert exact.tier == "exact"
+        assert (exact.hot_aps, exact.cold_aps) == (base.aps, 0)
+        assert (exact.exact_sessions, exact.analytic_sessions) == (exact.admitted, 0)
 
-    def test_plain_engine_refuses_hybrid_specs(self, engines):
-        sessions, _ = engines
+    def test_one_engine_runs_both_tiers(self, engines):
+        """The tier lives in the spec: one engine serves mixed-tier rows."""
+        _, fleets = engines
         fleet = _crossover_fleet()
-        with pytest.raises(ConfigurationError):
-            FleetEngine(sessions=sessions, cache_results=False).run(fleet)
+        hybrid = fleets.run(fleet)
+        exact = fleets.run(fleet.with_(tier="exact"))
+        assert (hybrid.tier, exact.tier) == ("hybrid", "exact")
+        assert hybrid.analytic_sessions > 0 and exact.analytic_sessions == 0
 
 
 class TestAccuracy:
@@ -151,7 +152,7 @@ class TestAccuracy:
     def pair(self, engines):
         sessions, _ = engines
         fleet = _crossover_fleet()
-        hybrid = HybridFleetEngine(sessions=sessions, cache_results=False).run(fleet)
+        hybrid = FleetEngine(sessions=sessions, cache_results=False).run(fleet)
         exact = FleetEngine(sessions=sessions, cache_results=False).run(
             fleet.with_(tier="exact")
         )
@@ -197,8 +198,8 @@ class TestDeterminism:
     def test_fresh_engine_reproduces_bit_for_bit(self, engines):
         sessions, _ = engines
         fleet = _crossover_fleet()
-        a = HybridFleetEngine(sessions=sessions, cache_results=False).run(fleet)
-        b = HybridFleetEngine(sessions=SessionEngine(), cache_results=False).run(fleet)
+        a = FleetEngine(sessions=sessions, cache_results=False).run(fleet)
+        b = FleetEngine(sessions=SessionEngine(), cache_results=False).run(fleet)
         assert a.to_dict() == b.to_dict()
 
     def test_sweep_jobs_do_not_change_hybrid_results(self):
@@ -224,7 +225,7 @@ class TestStore:
         sessions, _ = engines
         fleet = _crossover_fleet()
         store = ResultStore(tmp_path / "store")
-        computed = HybridFleetEngine(
+        computed = FleetEngine(
             sessions=sessions, cache_results=False, store=store
         ).run(fleet)
         loaded = ResultStore(tmp_path / "store").get(fleet)
@@ -239,7 +240,7 @@ class TestStore:
         sessions, _ = engines
         fleet = _crossover_fleet()
         store = ResultStore(tmp_path / "store")
-        HybridFleetEngine(sessions=sessions, cache_results=False, store=store).run(fleet)
+        FleetEngine(sessions=sessions, cache_results=False, store=store).run(fleet)
         assert ResultStore(tmp_path / "store").get(fleet.with_(tier="exact")) is None
 
     def test_tier_mismatched_shard_is_a_miss(self, tmp_path, engines):
@@ -247,7 +248,7 @@ class TestStore:
         sessions, _ = engines
         fleet = _crossover_fleet()
         store = ResultStore(tmp_path / "store")
-        HybridFleetEngine(sessions=sessions, cache_results=False, store=store).run(fleet)
+        FleetEngine(sessions=sessions, cache_results=False, store=store).run(fleet)
         path = store.shard_path(fleet.spec_hash())
         record = json.loads(path.read_text(encoding="utf-8"))
         record["tier"] = "exact"

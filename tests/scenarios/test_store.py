@@ -124,7 +124,7 @@ def test_epoch_invalidation(tmp_path):
 
 
 # -------------------------------------------------------------- corruption
-def test_corrupted_shard_counts_as_miss_and_is_removed(tmp_path):
+def test_corrupted_shard_counts_as_miss_and_is_removed(tmp_path, caplog):
     spec = _spec(channel=clean_channel())
     store = ResultStore(tmp_path)
     path = store.put(spec, _synthetic_result(spec))
@@ -132,9 +132,16 @@ def test_corrupted_shard_counts_as_miss_and_is_removed(tmp_path):
     for garbage in ('{"truncated": ', "not json at all", '{"format": 999}'):
         path.write_text(garbage, encoding="utf-8")
         fresh = ResultStore(tmp_path)
-        assert fresh.get(spec) is None
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="repro.scenarios.store"):
+            assert fresh.get(spec) is None
         assert fresh.stats().corrupted == 1
         assert not path.exists()  # quarantined, ready for a clean rewrite
+        # The quarantine is visible: one warning naming the shard.
+        [record] = caplog.records
+        assert record.name == "repro.scenarios.store"
+        assert record.levelname == "WARNING"
+        assert str(path) in record.getMessage()
         store.put(spec, _synthetic_result(spec))
 
     # A shard whose content address disagrees with its location is rejected.

@@ -14,6 +14,7 @@ import repro
 from repro.errors import ConfigurationError
 from repro.fleet import FleetEngine, get_fleet
 from repro.scenarios import ResultStore, get_scenario
+from repro.service import get_service
 
 
 def test_run_scenario_accepts_preset_and_spec():
@@ -69,6 +70,48 @@ def test_facade_rejects_wrong_spec_types():
         repro.plan(get_scenario("clean"))
     with pytest.raises(ConfigurationError):
         repro.plan("no-such-preset")
+
+
+def test_facade_rejects_non_integer_seeds():
+    with pytest.raises(ConfigurationError, match="seed"):
+        repro.run_scenario("clean", seed="x")
+    with pytest.raises(ConfigurationError, match="seed"):
+        repro.run_fleet("shared-ap", seed="x")
+    with pytest.raises(ConfigurationError, match="seed"):
+        get_service("service-shared-ap", seed="x")
+    with pytest.raises(ConfigurationError, match="operators"):
+        get_fleet("shared-ap", operators="x")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: get_scenario("clean").with_(nope=1),
+        lambda: get_scenario("clean", nope=1),
+        lambda: get_scenario("clean").with_foreco(nope=1),
+        lambda: get_fleet("shared-ap", nope=1),
+        lambda: get_fleet("shared-ap").with_template(nope=1),
+        lambda: get_service("service-shared-ap").with_(nope=1),
+        lambda: get_service("service-shared-ap").with_fleet(nope=1),
+        lambda: repro.plan("plan-shared-ap", nope=1),
+        lambda: repro.get_plan("plan-shared-ap").with_fleet(nope=1),
+    ],
+    ids=[
+        "scenario",
+        "scenario-preset",
+        "scenario-foreco",
+        "fleet-preset",
+        "fleet-template",
+        "service",
+        "service-fleet",
+        "plan-facade",
+        "plan-fleet",
+    ],
+)
+def test_unknown_override_field_is_a_configuration_error(build):
+    """Every spec builder names an unknown field in a typed error."""
+    with pytest.raises(ConfigurationError, match="'nope'"):
+        build()
 
 
 def test_store_keyword_accepts_paths_and_stores(tmp_path):
