@@ -27,8 +27,8 @@ Package layout
     Discrete-event simulation substrate (event engine, G/HEXP/1/Q queue,
     Jackson transport network).
 ``repro.robot``
-    Niryo-One-like manipulator: DH kinematics, joint limits, PID control,
-    driver loop and trajectory metrics.
+    Niryo-One-like manipulator: DH kinematics, joint limits, PID control
+    and trajectory metrics.
 ``repro.teleop``
     Pick-and-place task, operator models and the 50 Hz remote controller.
 ``repro.analysis``
@@ -106,7 +106,7 @@ from .fleet import (
     get_fleet,
     get_plan,
 )
-from .robot import NiryoOneArm, RobotDriver
+from .robot import NiryoOneArm
 from .scenarios import (
     ResultStore,
     ScenarioSpec,
@@ -145,7 +145,6 @@ __all__ = [
     "VarForecaster",
     "make_forecaster",
     "NiryoOneArm",
-    "RobotDriver",
     "OperatorModel",
     "RemoteController",
     "experienced_operator",
@@ -271,7 +270,7 @@ def serve(service_spec, *, until=None, store=None) -> ServiceResult:
     if not isinstance(spec, ServiceSpec):
         raise ConfigurationError("serve expects a ServiceSpec or a service preset name")
     if until is not None:
-        spec = spec.with_(until_s=float(until))
+        spec = spec.with_(until_s=until)
     engine = ServiceEngine(store=_as_store(store))
     return engine.run(spec)
 

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError, DimensionError
-from ..robot.driver import DriverConfig
 from ..robot.niryo import NiryoOneArm
-from ..robot.pid import JointPidController
+from ..robot.pid import JointPidController, PidGains
 from ..robot.trajectory import JointTrajectory
 from .config import ForecoConfig
 from .recovery import ForecoRecovery
@@ -156,13 +155,6 @@ class BatchedRemoteControlSimulation:
         self.recovery = recovery
         self.arm = arm if arm is not None else NiryoOneArm()
         self.use_pid = bool(use_pid)
-        # Validates the period/tolerance combination exactly like the robot
-        # driver does, and carries the PID gains for dynamic mode.
-        self._driver_config = DriverConfig(
-            command_period_ms=recovery.config.command_period_ms,
-            tolerance_ms=recovery.config.tolerance_ms,
-            use_pid=self.use_pid,
-        )
 
     # ------------------------------------------------------------------ run
     def run(self, commands: np.ndarray, delays_ms: np.ndarray) -> list[SimulationOutcome]:
@@ -247,8 +239,8 @@ class BatchedRemoteControlSimulation:
         "joints" are the stacked repetitions, reusing the single-robot PID
         implementation verbatim — its math is purely elementwise, so each
         repetition's trajectory is unchanged by the stacking.  ``initial`` is
-        the (raw, unclamped) joint state a :class:`~repro.robot.driver.
-        RobotDriver` resets to.
+        the (raw, unclamped) joint state the robot starts from: the first row
+        of the defined stream.
         """
         limits = self.arm.limits
         clamped = np.clip(targets, limits.position_min, limits.position_max)
@@ -257,8 +249,8 @@ class BatchedRemoteControlSimulation:
         n_batch, n_slots, n_joints = clamped.shape
         controller = JointPidController(
             n_batch * n_joints,
-            dt_s=self._driver_config.command_period_ms / 1000.0,
-            gains=self._driver_config.pid_gains,
+            dt_s=self.recovery.config.command_period_ms / 1000.0,
+            gains=PidGains(),
             velocity_limits=np.tile(limits.velocity_max, n_batch),
         )
         controller.reset(np.tile(np.asarray(initial, dtype=float).ravel(), n_batch))

@@ -88,7 +88,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ..errors import ConfigurationError
 from ..scenarios import ResultStore, SweepExecutor, get_scenario, scenario_catalog, scenario_names
@@ -213,21 +214,194 @@ def _open_store(path: str | None, resume: bool) -> ResultStore | None:
     return store
 
 
-def _plan_store_partition(plans) -> tuple[int, int]:
-    """This-run store hits/misses attributable to the ``plan`` keyword.
+#: Flags that only apply to some keywords: flag -> the keywords it needs.
+#: ``run_experiments`` rejects a flag given without any of its keywords.
+_SCOPED_FLAGS: dict[str, tuple[str, ...]] = {
+    "fleet_tier": ("fleet",),
+    "budget": ("search", "plan"),
+    "promote": ("search",),
+    "policy": ("serve",),
+    "until": ("serve",),
+    "slo_p99": ("plan",),
+    "slo_drop": ("plan",),
+}
 
-    A plan loaded whole from its record is one hit and zero probes; a
-    computed plan contributes its probes' partition plus the one miss of
-    the failed plan-record lookup.
-    """
-    hits = misses = 0
-    for report in plans or ():
-        if report.from_store:
-            hits += 1
-        else:
-            hits += report.store_hits
-            misses += report.store_misses + 1
-    return hits, misses
+
+def _option(flag: str) -> str:
+    """CLI spelling of a ``run_experiments`` keyword (``slo_p99`` -> ``--slo-p99``)."""
+    return "--" + flag.replace("_", "-")
+
+
+def _scope_error(flag: str, keywords: tuple[str, ...]) -> str:
+    if keywords == ("fleet",):
+        return f"{_option(flag)} only applies to fleet runs: add the 'fleet' keyword or --fleet N"
+    quoted = " and ".join(f"'{keyword}'" for keyword in keywords)
+    return f"{_option(flag)} only applies to the {quoted} keyword" + "s" * (len(keywords) > 1)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """Inputs every keyword of one :func:`run_experiments` call reads."""
+
+    scale: str
+    seed: int
+    executor: SweepExecutor
+    scenarios: list[str]
+    fleet: int | None
+    fleet_tier: str | None
+    budget: int | None
+    promote: bool | None
+    policy: str | None
+    until: float | None
+    slo_p99: float | None
+    slo_drop: float | None
+
+
+class _Lookups(NamedTuple):
+    """One keyword's store lookups in this run."""
+
+    hits: int
+    misses: int
+    reused: float  #: percentage shown on the text report's ``store:`` line
+
+
+@dataclass
+class _Section:
+    """What one keyword adds to the report."""
+
+    title: str
+    json: dict
+    text: list[str]
+    #: ``None`` keeps the keyword out of the store accounting.
+    lookups: _Lookups | None = None
+
+
+def _sweep_lookups(sweep) -> _Lookups:
+    return _Lookups(sweep.store_hits, sweep.store_misses, 100.0 * sweep.hit_fraction)
+
+
+def _presets(names, rows, catalog, render: bool = True) -> list[str]:
+    """A ``## name — description`` heading (and the rendering) per preset row."""
+    lines = []
+    for name, row in zip(names, rows):
+        description = catalog.get(row.spec.name, "")
+        if description:
+            lines.append(f"## {name} — {description}")
+        if render:
+            lines.append(row.to_text())
+    return lines
+
+
+def _overrides(**flags) -> list[str]:
+    """The ``overrides:`` line naming every given (not ``None``) flag."""
+    given = [
+        f"{_option(flag)} " + (str(value) if flag in ("policy", "budget") else f"{value:g}")
+        for flag, value in flags.items()
+        if value is not None
+    ]
+    return [f"overrides: {' '.join(given)}"] if given else []
+
+
+def _search(run: _Run) -> _Section:
+    from ..scenarios.search import ScenarioSearch, SearchConfig  # deferred: keeps import light
+
+    config = SearchConfig(budget=16 if run.budget is None else run.budget, seed=run.seed)
+    result = ScenarioSearch(config=config, executor=run.executor).run()
+    if run.promote:
+        result.promote()
+    return _Section("# scenario search", {"search": result.to_dict()}, [result.to_text()])
+
+
+def _scenarios(run: _Run) -> _Section:
+    # Expanded after a possible --promote, so 'all' includes presets the
+    # search registered moments ago.
+    names = scenario_names() if "all" in run.scenarios else run.scenarios
+    sweep = run.executor.run([get_scenario(name, scale=run.scale, seed=run.seed) for name in names])
+    text = _presets(names, sweep, scenario_catalog(), render=False) + [sweep.to_table()]
+    return _Section("# scenario presets", {"scenarios": sweep.to_records()}, text, _sweep_lookups(sweep))
+
+
+def _fleets(run: _Run) -> _Section:
+    from ..fleet import fleet_catalog, fleet_names, get_fleet  # deferred: keeps import light
+
+    names = fleet_names()
+    overrides = {} if run.fleet_tier is None else {"tier": run.fleet_tier}
+    sweep = run.executor.run(
+        [
+            get_fleet(name, operators=run.fleet, scale=run.scale, seed=run.seed, **overrides)
+            for name in names
+        ]
+    )
+    tiers = {
+        "override": run.fleet_tier,
+        "tiers": {row.spec.name: row.tier for row in sweep},
+        "hot_aps": sum(row.hot_aps for row in sweep),
+        "cold_aps": sum(row.cold_aps for row in sweep),
+        "exact_sessions": sum(row.exact_sessions for row in sweep),
+        "analytic_sessions": sum(row.analytic_sessions for row in sweep),
+    }
+    tier_line = (
+        f"tier: {sum(row.tier != 'exact' for row in sweep)}/{len(sweep)} presets hybrid "
+        f"({tiers['exact_sessions']} exact + {tiers['analytic_sessions']} analytic sessions)"
+    )
+    if run.fleet_tier is not None:
+        tier_line += f" | --fleet-tier {run.fleet_tier} override"
+    return _Section(
+        "# fleet presets",
+        {"fleets": sweep.to_records(), "fleet_tier": tiers},
+        _presets(names, sweep, fleet_catalog()) + [tier_line],
+        _sweep_lookups(sweep),
+    )
+
+
+def _services(run: _Run) -> _Section:
+    from ..service import get_service, service_catalog, service_names  # deferred: keeps import light
+
+    names = service_names()
+    specs = [get_service(name, policy=run.policy, scale=run.scale, seed=run.seed) for name in names]
+    if run.until is not None:
+        specs = [spec.with_(until_s=run.until) for spec in specs]
+    sweep = run.executor.run(specs)
+    return _Section(
+        "# service presets",
+        {"services": sweep.to_records()},
+        _presets(names, sweep, service_catalog()) + _overrides(policy=run.policy, until=run.until),
+        _sweep_lookups(sweep),
+    )
+
+
+def _plans(run: _Run) -> _Section:
+    from ..fleet import CapacityPlanner, get_plan, plan_catalog, plan_names  # deferred: light import
+
+    gates = {"slo_p99": run.slo_p99, "slo_drop": run.slo_drop, "budget": run.budget}
+    given = {key: value for key, value in gates.items() if value is not None}
+    names = plan_names()
+    planner = CapacityPlanner(executor=run.executor)
+    plans = [planner.run(get_plan(name, scale=run.scale, seed=run.seed, **given)) for name in names]
+    # A plan loaded whole from its record is one hit and zero probes; a
+    # computed plan contributes its probes' partition plus the one miss of
+    # the failed plan-record lookup.
+    hits = sum(1 if plan.from_store else plan.store_hits for plan in plans)
+    misses = sum(0 if plan.from_store else plan.store_misses + 1 for plan in plans)
+    lookups = hits + misses
+    return _Section(
+        "# capacity plans",
+        {"plans": [plan.to_dict() for plan in plans]},
+        _presets(names, plans, plan_catalog()) + _overrides(**gates),
+        _Lookups(hits, misses, 100.0 * hits / lookups if lookups else 0.0),
+    )
+
+
+#: Every sweep-shaped keyword, in run and report order ('scenario' stands
+#: for the ``--scenario`` presets).  They share one executor, and with it
+#: the dataset and forecaster caches.
+_KINDS: dict[str, Callable[[_Run], _Section]] = {
+    "search": _search,
+    "scenario": _scenarios,
+    "fleet": _fleets,
+    "serve": _services,
+    "plan": _plans,
+}
 
 
 def run_experiments(
@@ -257,41 +431,32 @@ def run_experiments(
     process, so programmatic callers can handle it.
     """
     names = list(names)
-    fleet_requested = fleet is not None or "fleet" in names
-    search_requested = "search" in names
-    serve_requested = "serve" in names
-    plan_requested = "plan" in names
-    names = [name for name in names if name not in ("fleet", "search", "serve", "plan")]
+    scenarios = list(scenarios or [])
+    requested = {keyword for keyword in ("fleet", "search", "serve", "plan") if keyword in names}
+    names = [name for name in names if name not in requested]
+    if fleet is not None:
+        requested.add("fleet")
+    if scenarios:
+        requested.add("scenario")
     if any(name == "all" for name in names):
         names = sorted(EXPERIMENTS)
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         raise ConfigurationError(f"unknown experiment(s): {', '.join(unknown)}")
-    if fleet_tier is not None and not fleet_requested:
-        raise ConfigurationError(
-            "--fleet-tier only applies to fleet runs: add the 'fleet' keyword or --fleet N"
-        )
-    if budget is not None and not (search_requested or plan_requested):
-        raise ConfigurationError("--budget only applies to the 'search' and 'plan' keywords")
-    if promote and not search_requested:
-        raise ConfigurationError("--promote only applies to the 'search' keyword")
-    if policy is not None and not serve_requested:
-        raise ConfigurationError("--policy only applies to the 'serve' keyword")
-    if until is not None and not serve_requested:
-        raise ConfigurationError("--until only applies to the 'serve' keyword")
-    if slo_p99 is not None and not plan_requested:
-        raise ConfigurationError("--slo-p99 only applies to the 'plan' keyword")
-    if slo_drop is not None and not plan_requested:
-        raise ConfigurationError("--slo-drop only applies to the 'plan' keyword")
-    scenarios = list(scenarios or [])
-    if (
-        not names
-        and not scenarios
-        and not fleet_requested
-        and not search_requested
-        and not serve_requested
-        and not plan_requested
-    ):
+    # --promote is a switch: False (or any falsy value) means "not given".
+    flags = dict(
+        fleet_tier=fleet_tier,
+        budget=budget,
+        promote=promote or None,
+        policy=policy,
+        until=until,
+        slo_p99=slo_p99,
+        slo_drop=slo_drop,
+    )
+    for flag, keywords in _SCOPED_FLAGS.items():
+        if flags[flag] is not None and requested.isdisjoint(keywords):
+            raise ConfigurationError(_scope_error(flag, keywords))
+    if not names and not requested:
         raise ConfigurationError(
             "nothing to run: pass experiment names, 'fleet', 'serve', 'search', "
             "'plan' and/or --scenario"
@@ -299,69 +464,10 @@ def run_experiments(
     result_store = _open_store(store, resume)
 
     results = {name: EXPERIMENTS[name](scale=scale, seed=seed, jobs=jobs) for name in names}
-    # One executor serves every sweep-shaped run (scenario presets, fleet
-    # presets, service presets, search probes), so they share
-    # dataset/forecaster caches.
     executor = SweepExecutor(jobs=jobs, backend=backend, store=result_store)
-    search_result = None
-    if search_requested:
-        from ..scenarios.search import ScenarioSearch, SearchConfig  # deferred: keeps import light
-
-        config = SearchConfig(budget=16 if budget is None else budget, seed=seed)
-        search_result = ScenarioSearch(config=config, executor=executor).run()
-        if promote:
-            search_result.promote()
-    if any(name == "all" for name in scenarios):
-        # Expanded after a possible --promote, so 'all' includes presets the
-        # search registered moments ago.
-        scenarios = scenario_names()
-    sweep = None
-    if scenarios:
-        specs = [get_scenario(name, scale=scale, seed=seed) for name in scenarios]
-        sweep = executor.run(specs)
-    fleet_sweep = None
-    fleet_presets: list[str] = []
-    if fleet_requested:
-        from ..fleet import fleet_names, get_fleet  # deferred: keeps import light
-
-        fleet_presets = fleet_names()
-        fleet_overrides = {} if fleet_tier is None else {"tier": fleet_tier}
-        fleet_specs = [
-            get_fleet(name, operators=fleet, scale=scale, seed=seed, **fleet_overrides)
-            for name in fleet_presets
-        ]
-        fleet_sweep = executor.run(fleet_specs)
-    service_sweep = None
-    service_presets: list[str] = []
-    if serve_requested:
-        from ..service import get_service, service_names  # deferred: keeps import light
-
-        service_presets = service_names()
-        service_specs = [
-            get_service(name, policy=policy, scale=scale, seed=seed)
-            for name in service_presets
-        ]
-        if until is not None:
-            service_specs = [spec.with_(until_s=until) for spec in service_specs]
-        service_sweep = executor.run(service_specs)
-    plans = None
-    plan_presets: list[str] = []
-    if plan_requested:
-        from ..fleet import CapacityPlanner, get_plan, plan_names  # deferred: keeps import light
-
-        plan_overrides: dict = {}
-        if slo_p99 is not None:
-            plan_overrides["slo_p99"] = slo_p99
-        if slo_drop is not None:
-            plan_overrides["slo_drop"] = slo_drop
-        if budget is not None:
-            plan_overrides["budget"] = budget
-        plan_presets = plan_names()
-        planner = CapacityPlanner(executor=executor)
-        plans = [
-            planner.run(get_plan(name, scale=scale, seed=seed, **plan_overrides))
-            for name in plan_presets
-        ]
+    run = _Run(scale, seed, executor, scenarios, fleet, **flags)
+    sections = [kind(run) for keyword, kind in _KINDS.items() if keyword in requested]
+    counted = [section.lookups for section in sections if section.lookups is not None]
 
     if fmt == "json":
         document: dict = {
@@ -370,149 +476,34 @@ def run_experiments(
             "seed": seed,
             "experiments": {name: result.to_dict() for name, result in results.items()},
         }
-        if search_result is not None:
-            document["search"] = search_result.to_dict()
-        if sweep is not None:
-            document["scenarios"] = sweep.to_records()
-        if fleet_sweep is not None:
-            document["fleets"] = fleet_sweep.to_records()
-            document["fleet_tier"] = {
-                "override": fleet_tier,
-                "tiers": {row.spec.name: row.tier for row in fleet_sweep},
-                "hot_aps": sum(row.hot_aps for row in fleet_sweep),
-                "cold_aps": sum(row.cold_aps for row in fleet_sweep),
-                "exact_sessions": sum(row.exact_sessions for row in fleet_sweep),
-                "analytic_sessions": sum(row.analytic_sessions for row in fleet_sweep),
-            }
-        if service_sweep is not None:
-            document["services"] = service_sweep.to_records()
-        if plans is not None:
-            document["plans"] = [report.to_dict() for report in plans]
-        sweeps = (sweep, fleet_sweep, service_sweep)
-        if result_store is not None and (any(s is not None for s in sweeps) or plans is not None):
+        for section in sections:
+            document.update(section.json)
+        if result_store is not None and counted:
             stats = result_store.stats()
-            hits = sum(s.store_hits for s in sweeps if s is not None)
-            misses = sum(s.store_misses for s in sweeps if s is not None)
-            plan_hits, plan_misses = _plan_store_partition(plans)
-            hits += plan_hits
-            misses += plan_misses
             document["store"] = {
                 "path": str(result_store.root),
                 "epoch": result_store.epoch,
-                "hits": hits,
-                "misses": misses,
+                "hits": sum(lookups.hits for lookups in counted),
+                "misses": sum(lookups.misses for lookups in counted),
                 "entries": stats.entries,
                 "total_bytes": stats.total_bytes,
             }
         return json.dumps(document, indent=2) + "\n"
 
-    sections = []
+    lines = []
     for result in results.values():
-        sections.append(result.to_text())
-        sections.append("")
-    if search_result is not None:
-        sections.append("# scenario search")
-        sections.append(search_result.to_text())
-        sections.append("")
-    if sweep is not None:
-        catalog = scenario_catalog()
-        sections.append("# scenario presets")
-        for name, row in zip(scenarios, sweep):
-            description = catalog.get(row.spec.name, "")
-            if description:
-                sections.append(f"## {name} — {description}")
-        sections.append(sweep.to_table())
-        if result_store is not None:
-            stats = result_store.stats()
-            sections.append(
-                f"store: {sweep.store_hits} hits / {sweep.store_misses} misses "
-                f"({100.0 * sweep.hit_fraction:.0f}% reused), "
-                f"{stats.entries} entries at {result_store.root} (epoch {result_store.epoch})"
+        lines += [result.to_text(), ""]
+    for section in sections:
+        lines += [section.title, *section.text]
+        if result_store is not None and section.lookups is not None:
+            hits, misses, reused = section.lookups
+            lines.append(
+                f"store: {hits} hits / {misses} misses ({reused:.0f}% reused), "
+                f"{result_store.stats().entries} entries at {result_store.root} "
+                f"(epoch {result_store.epoch})"
             )
-        sections.append("")
-    if fleet_sweep is not None:
-        from ..fleet import fleet_catalog
-
-        catalog = fleet_catalog()
-        sections.append("# fleet presets")
-        for name, row in zip(fleet_presets, fleet_sweep):
-            description = catalog.get(row.spec.name, "")
-            if description:
-                sections.append(f"## {name} — {description}")
-            sections.append(row.to_text())
-        hybrid_rows = [row for row in fleet_sweep if row.tier != "exact"]
-        tier_line = (
-            f"tier: {len(hybrid_rows)}/{len(fleet_sweep)} presets hybrid "
-            f"({sum(r.exact_sessions for r in fleet_sweep)} exact + "
-            f"{sum(r.analytic_sessions for r in fleet_sweep)} analytic sessions)"
-        )
-        if fleet_tier is not None:
-            tier_line += f" | --fleet-tier {fleet_tier} override"
-        sections.append(tier_line)
-        if result_store is not None:
-            stats = result_store.stats()
-            sections.append(
-                f"store: {fleet_sweep.store_hits} hits / {fleet_sweep.store_misses} misses "
-                f"({100.0 * fleet_sweep.hit_fraction:.0f}% reused), "
-                f"{stats.entries} entries at {result_store.root} (epoch {result_store.epoch})"
-            )
-        sections.append("")
-    if service_sweep is not None:
-        from ..service import service_catalog  # deferred: keeps import light
-
-        catalog = service_catalog()
-        sections.append("# service presets")
-        for name, row in zip(service_presets, service_sweep):
-            description = catalog.get(name, "")
-            if description:
-                sections.append(f"## {name} — {description}")
-            sections.append(row.to_text())
-        overrides = []
-        if policy is not None:
-            overrides.append(f"--policy {policy}")
-        if until is not None:
-            overrides.append(f"--until {until:g}")
-        if overrides:
-            sections.append(f"overrides: {' '.join(overrides)}")
-        if result_store is not None:
-            stats = result_store.stats()
-            sections.append(
-                f"store: {service_sweep.store_hits} hits / {service_sweep.store_misses} misses "
-                f"({100.0 * service_sweep.hit_fraction:.0f}% reused), "
-                f"{stats.entries} entries at {result_store.root} (epoch {result_store.epoch})"
-            )
-        sections.append("")
-    if plans is not None:
-        from ..fleet import plan_catalog  # deferred: keeps import light
-
-        catalog = plan_catalog()
-        sections.append("# capacity plans")
-        for name, report in zip(plan_presets, plans):
-            description = catalog.get(name, "")
-            if description:
-                sections.append(f"## {name} — {description}")
-            sections.append(report.to_text())
-        overrides = []
-        if slo_p99 is not None:
-            overrides.append(f"--slo-p99 {slo_p99:g}")
-        if slo_drop is not None:
-            overrides.append(f"--slo-drop {slo_drop:g}")
-        if budget is not None:
-            overrides.append(f"--budget {budget}")
-        if overrides:
-            sections.append(f"overrides: {' '.join(overrides)}")
-        if result_store is not None:
-            stats = result_store.stats()
-            plan_hits, plan_misses = _plan_store_partition(plans)
-            lookups = plan_hits + plan_misses
-            reused = 100.0 * plan_hits / lookups if lookups else 0.0
-            sections.append(
-                f"store: {plan_hits} hits / {plan_misses} misses "
-                f"({reused:.0f}% reused), "
-                f"{stats.entries} entries at {result_store.root} (epoch {result_store.epoch})"
-            )
-        sections.append("")
-    return "\n".join(sections).rstrip() + "\n"
+        lines.append("")
+    return "\n".join(lines).rstrip() + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -53,18 +53,14 @@ def sliding_windows(commands: np.ndarray, record: int) -> tuple[np.ndarray, np.n
     """
     commands = as_command_array("commands", commands)
     record = ensure_int("record", record, minimum=1)
-    n, d = commands.shape
+    n = commands.shape[0]
     if n <= record:
         raise DimensionError(
             f"need more than record={record} commands to build windows, got {n}"
         )
-    n_windows = n - record
-    windows = np.empty((n_windows, record, d))
-    targets = np.empty((n_windows, d))
-    for k in range(n_windows):
-        windows[k] = commands[k : k + record]
-        targets[k] = commands[k + record]
-    return windows, targets
+    # The view's window axis comes last: (n - record, d, record).
+    windows = np.lib.stride_tricks.sliding_window_view(commands[:-1], record, axis=0)
+    return windows.transpose(0, 2, 1).copy(), commands[record:].copy()
 
 
 class Forecaster(abc.ABC):

@@ -20,8 +20,8 @@ Every probe runs through a :class:`~repro.scenarios.sweep.SweepExecutor`,
 so evaluation parallelises over threads or processes and — when a
 :class:`~repro.scenarios.store.ResultStore` is attached — memoizes through
 the content-addressed store: a repeated search recomputes **nothing** (the
-smoke gate in ``scripts/search_smoke.py`` asserts a warm second pass is
-100 % store hits).  All random draws happen in the coordinating thread in a
+runner contract test ``tests/test_contracts.py`` asserts a warm second pass
+is 100 % store hits).  All random draws happen in the coordinating thread in a
 fixed order seeded from :attr:`SearchConfig.seed`, and candidate evaluation
 is a pure function of the spec, so a search with a fixed seed and budget is
 bit-deterministic across ``--jobs 1`` vs ``--jobs N`` and thread vs process
@@ -379,8 +379,7 @@ def run_search(
 ) -> SearchResult:
     """One-call convenience wrapper: configure, run and return the search.
 
-    This is what the runner's ``search`` keyword and the CI smoke script
-    call; see :class:`ScenarioSearch` for the determinism and memoization
+    See :class:`ScenarioSearch` for the determinism and memoization
     contract.
     """
     config = SearchConfig(budget=budget, seed=seed, top_k=top_k)

@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 
-from .._validation import replace_fields
+from .._validation import ensure_int, replace_fields
 from ..errors import ConfigurationError
 from ..core.config import ForecoConfig
 
@@ -511,6 +511,7 @@ class ScenarioSpec:
             )
         if self.fallback not in ("hold", "stop"):
             raise ConfigurationError("fallback must be 'hold' or 'stop'")
+        ensure_int("seed", self.seed)
         if int(self.repetitions) < 1:
             raise ConfigurationError("repetitions must be >= 1")
 

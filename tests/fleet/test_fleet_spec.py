@@ -16,6 +16,7 @@ from repro.fleet import (
     register_fleet,
     sample_arrival_times,
 )
+from repro.fleet.registry import _REGISTRY
 from repro.scenarios import ScenarioSpec, get_scenario
 
 
@@ -141,10 +142,13 @@ class TestRegistry:
 
     def test_register_and_overwrite(self):
         spec = FleetSpec(name="test-register-fleet", template=ScenarioSpec(), operators=2)
-        register_fleet(spec, "temporary", overwrite=True)
-        assert get_fleet("test-register-fleet").operators == 2
-        register_fleet(spec.with_(operators=3), "temporary", overwrite=True)
-        assert get_fleet("test-register-fleet").operators == 3
+        try:
+            register_fleet(spec, "temporary", overwrite=True)
+            assert get_fleet("test-register-fleet").operators == 2
+            register_fleet(spec.with_(operators=3), "temporary", overwrite=True)
+            assert get_fleet("test-register-fleet").operators == 3
+        finally:  # leave the process-wide registry as the other tests expect it
+            _REGISTRY.pop(spec.name, None)
 
 
 class TestTierKnobs:

@@ -40,6 +40,29 @@ def test_sliding_windows_shapes():
         sliding_windows(commands[:3], record=5)
 
 
+def _loop_windows(commands, record):
+    """The per-window Python loop ``sliding_windows`` replaced (equality oracle)."""
+    n_windows = commands.shape[0] - record
+    windows = np.empty((n_windows, record, commands.shape[1]))
+    targets = np.empty((n_windows, commands.shape[1]))
+    for k in range(n_windows):
+        windows[k] = commands[k : k + record]
+        targets[k] = commands[k + record]
+    return windows, targets
+
+
+@pytest.mark.parametrize("record", [1, 10, 49])
+def test_sliding_windows_equal_the_loop(record):
+    commands = np.random.default_rng(record).normal(size=(50, 6))
+    windows, targets = sliding_windows(commands, record=record)
+    expected_windows, expected_targets = _loop_windows(commands, record)
+    assert np.array_equal(windows, expected_windows)
+    assert np.array_equal(targets, expected_targets)
+    assert windows.flags.c_contiguous and windows.flags.writeable
+    assert not np.shares_memory(windows, commands)
+    assert not np.shares_memory(targets, commands)
+
+
 def test_forecast_rmse():
     a = np.zeros((4, 2))
     b = np.ones((4, 2))

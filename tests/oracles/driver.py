@@ -1,13 +1,16 @@
-"""Robot driver loop: command intake, fallback behaviour and execution.
+"""Serial per-slot robot driver loop (bit-equality oracle).
+
+``BatchedRemoteControlSimulation._execute_batch`` drives all ``B``
+repetitions of a session through the robot stack at once: the joint-limit
+clamp in kinematic mode, one stacked PID controller in dynamic mode.  The
+per-slot driver loop it replaced is kept here verbatim, so the serial
+session oracle (:mod:`tests.oracles.session`) can run the executions the
+old way.
 
 The Niryo One ROS stack expects a control command every Ω ms.  When a command
 does not arrive on time (``Δ(c_i) > τ``, with τ = 0 on the real robot) the
 stack simply re-feeds the previous command to the motion-planning layer; some
-robots instead stop in place.  Either way the executed trajectory deviates
-from the defined one — this is precisely the gap FoReCo fills by injecting a
-*forecast* command instead.
-
-:class:`RobotDriver` reproduces that loop:
+robots instead stop in place.  :class:`RobotDriver` reproduces that loop:
 
 * the caller feeds it one "slot" per command period, saying whether the
   original command arrived on time and, if FoReCo is attached, providing the
@@ -17,7 +20,7 @@ from the defined one — this is precisely the gap FoReCo fills by injecting a
 * the resulting target stream is executed either perfectly (kinematic mode)
   or through the per-joint PID controller (dynamic mode used for Fig. 10).
 
-The driver records everything in a :class:`DriverLog` for the analysis layer.
+The driver records everything in a :class:`DriverLog`.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from typing import Literal
 
 import numpy as np
 
-from ..errors import ConfigurationError, DimensionError
-from .niryo import NiryoOneArm
-from .pid import JointPidController, PidGains
-from .trajectory import JointTrajectory
+from repro.errors import ConfigurationError, DimensionError
+from repro.robot.niryo import NiryoOneArm
+from repro.robot.pid import JointPidController, PidGains
+from repro.robot.trajectory import JointTrajectory
 
 FallbackPolicy = Literal["hold", "stop"]
 

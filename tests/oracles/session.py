@@ -6,7 +6,8 @@ The serial path it replaced is kept here verbatim, so the kernel can be
 checked bit for bit against it and the batch benchmarks have a denominator:
 
 * :class:`RemoteControlSimulation` — one session at a time, through
-  ``ForecoRecovery.process_stream`` and two ``RobotDriver`` runs;
+  ``ForecoRecovery.process_stream`` and two :class:`~tests.oracles.driver.RobotDriver`
+  runs;
 * :class:`SerialSessionEngine` — a ``SessionEngine`` whose ``run`` is the
   old serial repetition loop (serial channel sampler, one fresh forecaster
   copy and one :class:`RemoteControlSimulation` per repetition) and whose
@@ -22,7 +23,6 @@ import numpy as np
 from repro.core.recovery import ForecoRecovery
 from repro.core.simulation import SimulationOutcome, baseline_target_indices
 from repro.errors import ConfigurationError, DimensionError
-from repro.robot.driver import DriverConfig, RobotDriver
 from repro.robot.niryo import NiryoOneArm
 from repro.robot.trajectory import JointTrajectory, trajectory_rmse_mm
 from repro.scenarios.engine import SessionEngine, SessionResult, repetition_seed
@@ -30,6 +30,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.wireless.channel import CommandDelayTrace
 
 from .channels import sample_channel_delays
+from .driver import DriverConfig, RobotDriver
 
 
 class RemoteControlSimulation:

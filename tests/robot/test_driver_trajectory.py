@@ -1,4 +1,4 @@
-"""Tests for the robot driver loop and trajectory metrics."""
+"""Tests for the serial robot driver oracle and the trajectory metrics."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DimensionError
-from repro.robot.driver import DriverConfig, RobotDriver
 from repro.robot.niryo import NiryoOneArm
 from repro.robot.trajectory import (
     JointTrajectory,
@@ -14,6 +13,7 @@ from repro.robot.trajectory import (
     distance_from_origin_mm,
     trajectory_rmse_mm,
 )
+from tests.oracles.driver import DriverConfig, RobotDriver
 
 
 def _ramp_commands(n: int = 50, step: float = 0.01) -> np.ndarray:

@@ -23,6 +23,7 @@ from repro.scenarios import (
     scenario_names,
     wireless_channel,
 )
+from repro.scenarios.registry import _REGISTRY
 
 
 def test_channel_spec_roundtrip_and_validation():
@@ -116,12 +117,15 @@ def test_register_scenario_guards():
         register_scenario(ScenarioSpec(name="custom"))
     with pytest.raises(ConfigurationError):
         register_scenario(ScenarioSpec(name="clean", channel=clean_channel()))
-    register_scenario(
-        ScenarioSpec(name="test-only-preset", channel=clean_channel()),
-        "temporary preset for this test",
-        overwrite=True,
-    )
-    assert "test-only-preset" in scenario_names()
+    try:
+        register_scenario(
+            ScenarioSpec(name="test-only-preset", channel=clean_channel()),
+            "temporary preset for this test",
+            overwrite=True,
+        )
+        assert "test-only-preset" in scenario_names()
+    finally:  # leave the process-wide registry as the other tests expect it
+        _REGISTRY.pop("test-only-preset", None)
 
 
 def test_get_scale_passthrough_and_custom_scale_hashable():

@@ -16,6 +16,7 @@ from repro.service import (
     service_catalog,
     service_names,
 )
+from repro.service.registry import _REGISTRY
 
 
 class TestValidation:
@@ -129,7 +130,10 @@ class TestRegistry:
 
     def test_register_and_overwrite(self):
         spec = ServiceSpec(name="test-register-service", policy="static-cap")
-        register_service(spec, "temporary", overwrite=True)
-        assert get_service("test-register-service").policy == "static-cap"
-        register_service(spec.with_(policy="forecast-aware"), "temporary", overwrite=True)
-        assert get_service("test-register-service").policy == "forecast-aware"
+        try:
+            register_service(spec, "temporary", overwrite=True)
+            assert get_service("test-register-service").policy == "static-cap"
+            register_service(spec.with_(policy="forecast-aware"), "temporary", overwrite=True)
+            assert get_service("test-register-service").policy == "forecast-aware"
+        finally:  # leave the process-wide registry as the other tests expect it
+            _REGISTRY.pop(spec.name, None)

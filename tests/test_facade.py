@@ -8,12 +8,13 @@ the engines directly — the facade adds convenience, never semantics.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro
 from repro.errors import ConfigurationError
 from repro.fleet import FleetEngine, get_fleet
-from repro.scenarios import ResultStore, get_scenario
+from repro.scenarios import ResultStore, ScenarioSpec, get_scenario
 from repro.service import get_service
 
 
@@ -81,6 +82,33 @@ def test_facade_rejects_non_integer_seeds():
         get_service("service-shared-ap", seed="x")
     with pytest.raises(ConfigurationError, match="operators"):
         get_fleet("shared-ap", operators="x")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ScenarioSpec(seed="x"),
+        lambda: get_scenario("clean", seed="x"),
+        lambda: get_fleet("shared-ap", seed="x"),
+        lambda: repro.get_plan("plan-shared-ap", seed="x"),
+    ],
+    ids=["spec", "scenario-preset", "fleet-preset", "plan-preset"],
+)
+def test_non_integer_seed_is_rejected_when_the_spec_is_built(build):
+    with pytest.raises(ConfigurationError, match="seed"):
+        build()
+
+
+def test_integer_seeds_keep_their_spec_hashes():
+    assert get_scenario("clean").spec_hash() == "39ecfdf3190adb1e"
+    assert get_scenario("clean", seed=7).spec_hash() == "cb38ef2243c0b5c1"
+    assert get_scenario("clean", seed=np.int64(7)).spec_hash() == "cb38ef2243c0b5c1"
+    assert get_fleet("shared-ap", seed=3).spec_hash() == "0fb2c2811afa6f51"
+
+
+def test_serve_rejects_a_non_numeric_horizon():
+    with pytest.raises(ConfigurationError, match="until"):
+        repro.serve("service-shared-ap", until="x")
 
 
 @pytest.mark.parametrize(
